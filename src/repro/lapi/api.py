@@ -163,6 +163,8 @@ class Lapi:
         self._inline_always: set[str] = set()
         self._counters: dict[int, Counter] = {}
         self._cntr_ids = itertools.count(1)
+        #: id blocks whose counters are built on first use (reserve_counters)
+        self._reserved: list[tuple[range, str, Callable[[int, Counter], None]]] = []
         self._addresses: dict[str, Any] = {}
 
         self._flow_tx: dict[int, _FlowTx] = {}
@@ -227,8 +229,38 @@ class Lapi:
         self._counters[cid] = cntr
         return cid, cntr
 
+    def reserve_counters(self, n: int, name: str,
+                         on_create: Callable[[int, Counter], None]) -> range:
+        """Reserve ``n`` contiguous counter ids without building counters.
+
+        The ids are exactly those ``n`` calls to :meth:`create_counter`
+        would return.  Counter ``k`` of the block (named ``name[k]``) is
+        created the first time its id is looked up, locally or by a
+        remote update; ``on_create(k, counter)`` runs right then.
+        """
+        start = next(self._cntr_ids)
+        self._cntr_ids = itertools.count(start + n)
+        ids = range(start, start + n)
+        self._reserved.append((ids, name, on_create))
+        return ids
+
     def counter_by_id(self, cid: int) -> Counter:
-        return self._counters[cid]
+        cntr = self._lookup_counter(cid)
+        if cntr is None:
+            raise KeyError(cid)
+        return cntr
+
+    def _lookup_counter(self, cid: int) -> Optional[Counter]:
+        cntr = self._counters.get(cid)
+        if cntr is None:
+            for ids, name, on_create in self._reserved:
+                if cid in ids:
+                    k = cid - ids.start
+                    cntr = Counter(self.env, name=f"t{self.task_id}.{name}[{k}]")
+                    self._counters[cid] = cntr
+                    on_create(k, cntr)
+                    break
+        return cntr
 
     def address_init(self, name: str, obj: Any) -> None:
         """LAPI_Address_init: publish a local object under ``name``.
@@ -764,7 +796,7 @@ class Lapi:
         self.stats.trace("lapi", "cmpl_done", src=asm.src, msg=asm.msg_no,
                          mid=asm.mid, thr=thread)
         if asm.tgt_cntr_id is not None:
-            cntr = self._counters.get(asm.tgt_cntr_id)
+            cntr = self._lookup_counter(asm.tgt_cntr_id)
             if cntr is None:
                 raise LapiError(
                     f"task {self.task_id}: unknown target counter id {asm.tgt_cntr_id}"

@@ -68,6 +68,8 @@ class Cpu:
         self.stats = stats
         self.name = name
         self._cores = [_Core(i) for i in range(cores)]
+        #: the only core of a uniprocessor node (``execute``'s fast path)
+        self._uni_core = self._cores[0] if cores == 1 else None
         self._waiters: deque[Event] = deque()
         #: cumulative busy time across cores (utilisation statistic)
         self.busy_us: float = 0.0
@@ -85,6 +87,28 @@ class Cpu:
 
         Generator: ``yield from cpu.execute("user", 1.5)``.
         """
+        core = self._uni_core
+        if (core is not None and not core.busy and not self._waiters
+                and self.faults is None):
+            # Uniprocessor fast path: the single core is free and nobody
+            # waits, so take it inline.  Same charges, same order as the
+            # general path below, minus its calls and list scans.
+            core.busy = True
+            core.running = thread
+            if core.last_thread == thread:
+                switch = 0.0  # what _switch_penalty returns for a rerun
+            else:
+                switch = self._switch_penalty(core, thread)
+            total = switch + cost_us if cost_us > 0.0 else switch
+            try:
+                if total > 0.0:
+                    yield self.env.auto_timeout(total)
+                self.busy_us += total
+            finally:
+                core.last_thread = thread
+                self._release(core)
+            return
+
         core = self._try_acquire(thread)
         if core is None:
             ev = self.env.auto_event()
@@ -155,6 +179,8 @@ class Cpu:
     def _release(self, core: _Core) -> None:
         core.busy = False
         core.running = None
+        if not self._waiters:
+            return
         # hand the core to the first waiter whose thread is not already
         # running elsewhere (FIFO among the eligible)
         running_now = {c.running for c in self._cores if c.busy}

@@ -39,6 +39,37 @@ __all__ = ["LapiBackend", "VARIANTS"]
 VARIANTS = ("base", "counters", "enhanced")
 
 
+class _Pool:
+    """One source's completion-counter pool (Counters variant).
+
+    The pool's counter ids are reserved as one contiguous block when the
+    backend is built, so every id (and what :meth:`LapiBackend.wire`
+    hands the peer) matches eager allocation; slot ``k``'s counter and
+    :class:`_Slot` are created the first time the slot is bound or its
+    id is addressed.
+    """
+
+    __slots__ = ("backend", "cids", "_slots")
+
+    def __init__(self, backend: "LapiBackend", src: int, n: int):
+        self.backend = backend
+        self._slots: list[Optional[_Slot]] = [None] * n
+        self.cids = backend.lapi.reserve_counters(n, f"pool[{src}]", self._created)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def _created(self, k: int, cntr: Counter) -> None:
+        self._slots[k] = _Slot(self.backend, self.cids[k], cntr)
+
+    def __getitem__(self, k: int) -> "_Slot":
+        slot = self._slots[k]
+        if slot is None:
+            self.backend.lapi.counter_by_id(self.cids[k])  # runs _created
+            slot = self._slots[k]
+        return slot
+
+
 class _Slot:
     """One completion-counter pool slot (Counters variant)."""
 
@@ -93,19 +124,11 @@ class LapiBackend(Backend):
         self._pending_ann: dict[int, dict[int, InMsg]] = {}
 
         # Counters variant: per-source completion-counter pools
-        self._pools: dict[int, list[_Slot]] = {}
-        self._slot_by_id: dict[int, _Slot] = {}
+        self._pools: dict[int, _Pool] = {}
         if variant == "counters":
             for src in range(num_tasks):
-                if src == task_id:
-                    continue
-                slots = []
-                for k in range(params.counter_pool_slots):
-                    cid, cntr = lapi.create_counter(f"pool[{src}][{k}]")
-                    slot = _Slot(self, cid, cntr)
-                    self._slot_by_id[cid] = slot
-                    slots.append(slot)
-                self._pools[src] = slots
+                if src != task_id:
+                    self._pools[src] = _Pool(self, src, params.counter_pool_slots)
         #: sender-side view of each peer's pool counter ids (filled by wire())
         self._peer_slot_ids: dict[int, list[int]] = {}
 
@@ -126,7 +149,7 @@ class LapiBackend(Backend):
         for dst, peer in peers.items():
             if dst == self.task_id:
                 continue
-            self._peer_slot_ids[dst] = [s.cid for s in peer._pools[self.task_id]]
+            self._peer_slot_ids[dst] = list(peer._pools[self.task_id].cids)
 
     # ---------------------------------------------------------- plumbing
     def progress(self, thread: str) -> Generator:
@@ -269,6 +292,11 @@ class LapiBackend(Backend):
         self._track_unexpected()
         yield from self.cpu.execute(thread, self.match_cost(inspected))
         if entry is None:
+            # an eager header may have reached the early queue while the
+            # match cost was charged; re-check without yielding before
+            # the post, or the pair strands (as in NativeBackend.irecv)
+            entry, _ = self.early.match(context, src_pattern, tag_pattern)
+        if entry is None:
             self.posted.post(context, src_pattern, tag_pattern, req)
             self.stats.matches_posted += 1
             return req
@@ -299,7 +327,7 @@ class LapiBackend(Backend):
         if self.variant != "counters":
             return None
         pool = self._pools[msg.src_task]
-        return pool[msg.mseq % len(pool)].cid
+        return pool.cids[msg.mseq % len(pool)]
 
     def _check_fits(self, msg: InMsg, view) -> None:
         if msg.size > len(view):
@@ -497,8 +525,8 @@ class LapiBackend(Backend):
         msg.req = req
         msg.matched = True
         if self.variant == "counters":
-            slot = self._slot_by_id[uhdr["slot"]]
-            slot.bind(msg)
+            pool = self._pools[src_task]
+            pool[uhdr["slot"] - pool.cids.start].bind(msg)
             return ByteTarget(req.ctx), None, msg
         return ByteTarget(req.ctx), self._cmpl_mark, msg
 

@@ -131,8 +131,6 @@ class Event:
             env._normal.append((env._now, priority, seq, self))
         else:
             env._urgent.append((env._now, priority, seq, self))
-        if env._m_heap is not None:
-            env._m_heap.set(len(env._queue) + len(env._urgent) + len(env._normal))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -150,8 +148,6 @@ class Event:
             env._normal.append((env._now, priority, seq, self))
         else:
             env._urgent.append((env._now, priority, seq, self))
-        if env._m_heap is not None:
-            env._m_heap.set(len(env._queue) + len(env._urgent) + len(env._normal))
         return self
 
     def defuse(self) -> None:
@@ -196,8 +192,6 @@ class Timeout(Event):
             env._normal.append((env._now, NORMAL, seq, self))
         else:
             _heappush(env._queue, (env._now + delay, NORMAL, seq, self))
-        if env._m_heap is not None:
-            env._m_heap.set(len(env._queue) + len(env._urgent) + len(env._normal))
 
 
 class _AutoEvent(Event):
@@ -245,8 +239,7 @@ class Process(Event):
         # allocation on every yield
         self._cb = self._resume
         self.name = name or getattr(gen, "__name__", "process")
-        if env._m_procs is not None:
-            env._m_procs.incr()
+        env._procs += 1
         Initialize(env, self)
 
     @property
@@ -261,8 +254,8 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         env = self.env
-        if env._active_proc is not self and env._m_switches is not None:
-            env._m_switches.incr()
+        if env._active_proc is not self:
+            env._switches += 1
         env._active_proc = self
         while True:
             if event._ok:
@@ -316,8 +309,6 @@ class Process(Event):
         self._value = value
         seq = env._seq = env._seq + 1
         env._normal.append((env._now, NORMAL, seq, self))
-        if env._m_heap is not None:
-            env._m_heap.set(len(env._queue) + len(env._urgent) + len(env._normal))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
@@ -452,6 +443,11 @@ class Environment:
     event-loop statistics (events popped, heap-depth high water, process
     switches, processes started).  All stats are counts of simulation
     activity, never wall clock, so they are deterministic.
+
+    The kernel counts in plain ints and writes them into the registry's
+    ``sim.*`` metrics (which this environment owns) whenever :meth:`run`
+    or :meth:`step` returns or raises; a snapshot taken from inside a
+    running callback sees the values of the previous flush.
     """
 
     def __init__(self, initial_time: float = 0.0, metrics=None):
@@ -465,15 +461,24 @@ class Environment:
         #: recycled kernel-internal events (call_later / auto_timeout / auto_event)
         self._free: list[_AutoEvent] = []
         self._active_proc: Optional[Process] = None
+        # Kernel statistics.  Every enqueue bumps ``_seq`` and only pops
+        # drain the queue, so the pending-event count is always
+        # ``_seq - _popped``; it can only grow between pops, so sampling
+        # it whenever ``_seq`` moved since ``_seq_seen`` (after each
+        # event's callbacks, and on entry to run/step) yields the exact
+        # value-at-last-enqueue and high-water mark.
+        self._popped = 0
+        self._switches = 0
+        self._procs = 0
+        self._seq_seen = 0
+        self._depth = 0
+        self._depth_max = 0
         self.metrics = metrics
         if metrics is not None:
             self._m_popped = metrics.counter("sim.events_popped")
             self._m_heap = metrics.gauge("sim.heap_depth")
             self._m_switches = metrics.counter("sim.process_switches")
             self._m_procs = metrics.counter("sim.processes_started")
-        else:
-            self._m_popped = self._m_heap = None
-            self._m_switches = self._m_procs = None
 
     @property
     def now(self) -> float:
@@ -516,8 +521,6 @@ class Environment:
             self._normal.append((self._now, NORMAL, seq, ev))
         else:
             _heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
-        if self._m_heap is not None:
-            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
         return ev
 
     def process(self, gen: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -551,8 +554,6 @@ class Environment:
             self._normal.append((self._now, NORMAL, seq, ev))
         else:
             _heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
-        if self._m_heap is not None:
-            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
 
     def auto_timeout(self, delay: float, value: Any = None) -> Event:
         """Pooled :class:`Timeout` for kernel-internal waits.
@@ -571,8 +572,6 @@ class Environment:
             self._normal.append((self._now, NORMAL, seq, ev))
         else:
             _heappush(self._queue, (self._now + delay, NORMAL, seq, ev))
-        if self._m_heap is not None:
-            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
         return ev
 
     def auto_event(self) -> Event:
@@ -594,8 +593,6 @@ class Environment:
                 self._urgent.append((self._now, priority, seq, event))
         else:
             _heappush(self._queue, (self._now + delay, priority, seq, event))
-        if self._m_heap is not None:
-            self._m_heap.set(len(self._queue) + len(self._urgent) + len(self._normal))
 
     def _pop(self) -> tuple[float, int, int, Event]:
         """Remove and return the globally next schedule entry."""
@@ -616,66 +613,145 @@ class Environment:
             return self._now  # delay-0 events are always at the current instant
         return self._queue[0][0] if self._queue else _INF
 
+    def _note_depth(self) -> None:
+        """Sample the pending-event count if anything was enqueued."""
+        seq = self._seq
+        if seq != self._seq_seen:
+            self._seq_seen = seq
+            depth = self._depth = seq - self._popped
+            if depth > self._depth_max:
+                self._depth_max = depth
+
+    def _flush(self) -> None:
+        """Write the kernel statistics into the ``sim.*`` metrics."""
+        self._note_depth()
+        if self.metrics is not None:
+            self._m_popped.value = self._popped
+            self._m_switches.value = self._switches
+            self._m_procs.value = self._procs
+            gauge = self._m_heap
+            gauge.value = self._depth
+            gauge.high_water = self._depth_max
+
     def step(self) -> None:
         """Process one event off the queue."""
-        entry = self._pop()
-        self._now = entry[0]
-        event = entry[3]
-        if self._m_popped is not None:
-            self._m_popped.incr()
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        for cb in callbacks:
-            cb(event)
-        if event._auto:
-            event._processed = False
-            event._triggered = False
-            event._ok = True
-            event._value = None
-            event._defused = False
-            event.callbacks = []
-            self._free.append(event)
-        elif not event._ok and not event._defused:
-            raise event._value
+        self._note_depth()
+        try:
+            entry = self._pop()
+            self._popped += 1
+            self._now = entry[0]
+            event = entry[3]
+            callbacks, event.callbacks = event.callbacks, None
+            event._processed = True
+            for cb in callbacks:
+                cb(event)
+            if event._auto:
+                event._processed = False
+                event._triggered = False
+                event._ok = True
+                event._value = None
+                event._defused = False
+                event.callbacks = []
+                self._free.append(event)
+            elif not event._ok and not event._defused:
+                raise event._value
+        finally:
+            self._flush()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the given time or event; return the event's value.
 
         ``until=None`` runs until the queue drains.
         """
-        stop_at = _INF
-        stop_event: Optional[Event] = None
-        if isinstance(until, Event):
-            stop_event = until
-            if stop_event._processed:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-        elif until is not None:
-            stop_at = float(until)
-            if stop_at < self._now:
-                raise ValueError(f"until={stop_at} is in the past (now={self._now})")
+        self._note_depth()
+        # the loops keep the statistics in locals; the finally writes
+        # them back and flushes them on every exit, raising ones included
+        popped = self._popped
+        seen = self._seq_seen
+        depth = self._depth
+        depth_max = self._depth_max
+        try:
+            stop_at = _INF
+            stop_event: Optional[Event] = None
+            if isinstance(until, Event):
+                stop_event = until
+                if stop_event._processed:
+                    if not stop_event._ok:
+                        raise stop_event._value
+                    return stop_event._value
+            elif until is not None:
+                stop_at = float(until)
+                if stop_at < self._now:
+                    raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
-        # The heap/deque structures, the pop logic, and the body of step()
-        # are inlined here with bound locals: this loop is the simulator's
-        # single hottest path (see benchmarks/bench_simcore.py).
-        u, n, q = self._urgent, self._normal, self._queue
-        heappop = _heappop
-        free = self._free
-        m_popped = self._m_popped
-        incr = None if m_popped is None else m_popped.incr
+            # The heap/deque structures, the pop logic, and the body of
+            # step() are inlined here with bound locals: this loop is the
+            # simulator's single hottest path (see benchmarks/bench_simcore.py).
+            u, n, q = self._urgent, self._normal, self._queue
+            heappop = _heappop
+            free = self._free
+            # without a registry nobody reads the heap depth: skip sampling
+            track = self.metrics is not None
 
-        if stop_event is None and stop_at == _INF and incr is None:
-            # drain loop: no stop checks, no metrics
+            if stop_event is None and stop_at == _INF:
+                # drain loop: no stop checks
+                while True:
+                    if u:
+                        entry = heappop(q) if q and q[0] < u[0] else u.popleft()
+                    elif n:
+                        entry = heappop(q) if q and q[0] < n[0] else n.popleft()
+                    elif q:
+                        entry = heappop(q)
+                    else:
+                        return None
+                    popped += 1
+                    self._now = entry[0]
+                    event = entry[3]
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    for cb in callbacks:
+                        cb(event)
+                    if event._auto:
+                        event._processed = False
+                        event._triggered = False
+                        event._ok = True
+                        event._value = None
+                        event._defused = False
+                        event.callbacks = []
+                        free.append(event)
+                    elif not event._ok and not event._defused:
+                        raise event._value
+                    if track:
+                        seq = self._seq
+                        if seq != seen:
+                            seen = seq
+                            depth = seq - popped
+                            if depth > depth_max:
+                                depth_max = depth
+
             while True:
+                if stop_event is not None and stop_event._processed:
+                    if not stop_event._ok:
+                        stop_event._defused = True
+                        raise stop_event._value
+                    return stop_event._value
+                # pop the global (time, priority, seq) minimum; only heap
+                # entries can lie beyond stop_at (deque entries are always
+                # at the current instant, which never exceeds it)
                 if u:
                     entry = heappop(q) if q and q[0] < u[0] else u.popleft()
                 elif n:
                     entry = heappop(q) if q and q[0] < n[0] else n.popleft()
                 elif q:
-                    entry = heappop(q)
+                    entry = q[0]
+                    if entry[0] > stop_at:
+                        self._now = stop_at
+                        return None
+                    heappop(q)
                 else:
-                    return None
+                    break
+                popped += 1
                 self._now = entry[0]
                 event = entry[3]
                 callbacks = event.callbacks
@@ -693,57 +769,29 @@ class Environment:
                     free.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
+                if track:
+                    seq = self._seq
+                    if seq != seen:
+                        seen = seq
+                        depth = seq - popped
+                        if depth > depth_max:
+                            depth_max = depth
 
-        while True:
-            if stop_event is not None and stop_event._processed:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            # pop the global (time, priority, seq) minimum; only heap
-            # entries can lie beyond stop_at (deque entries are always at
-            # the current instant, which never exceeds it)
-            if u:
-                entry = heappop(q) if q and q[0] < u[0] else u.popleft()
-            elif n:
-                entry = heappop(q) if q and q[0] < n[0] else n.popleft()
-            elif q:
-                entry = q[0]
-                if entry[0] > stop_at:
-                    self._now = stop_at
-                    return None
-                heappop(q)
-            else:
-                break
-            self._now = entry[0]
-            event = entry[3]
-            if incr is not None:
-                incr()
-            callbacks = event.callbacks
-            event.callbacks = None
-            event._processed = True
-            for cb in callbacks:
-                cb(event)
-            if event._auto:
-                event._processed = False
-                event._triggered = False
-                event._ok = True
-                event._value = None
-                event._defused = False
-                event.callbacks = []
-                free.append(event)
-            elif not event._ok and not event._defused:
-                raise event._value
-
-        if stop_event is not None:
-            if stop_event._processed:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                f"event queue drained before {stop_event!r} triggered (deadlock?)"
-            )
-        if stop_at != _INF:
-            self._now = stop_at
-        return None
+            if stop_event is not None:
+                if stop_event._processed:
+                    if not stop_event._ok:
+                        stop_event._defused = True
+                        raise stop_event._value
+                    return stop_event._value
+                raise SimulationError(
+                    f"event queue drained before {stop_event!r} triggered (deadlock?)"
+                )
+            if stop_at != _INF:
+                self._now = stop_at
+            return None
+        finally:
+            self._popped = popped
+            self._seq_seen = seen
+            self._depth = depth
+            self._depth_max = depth_max
+            self._flush()
