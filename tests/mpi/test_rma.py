@@ -5,7 +5,18 @@ stacks × both progress modes, byte-identity-checked against expected
 contents (and, for the halo workload, against an actual two-sided
 reference execution).  The raw-lapi stack has no Communicator; its
 window-buffer fast path is covered in ``tests/lapi``.
+
+Every ``SPCluster.run`` in this module is also a *schedule pin*: the
+autouse fixture below records each run's simulated ``elapsed_us`` and
+its ``rma.*``/``sim.*`` counters and compares them, exactly, with
+``data/rma_schedule_pin.json``.  Regenerate that table only when a
+change is *meant* to move the RMA schedule:
+``python tests/mpi/test_rma.py`` (then review the diff).
 """
+
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +27,44 @@ from repro.mpi.derived import Indexed
 
 MPI_STACKS = ("native", "lapi-base", "lapi-counters", "lapi-enhanced")
 MODES = ("polling", "interrupt")
+
+PIN_PATH = Path(__file__).parent / "data" / "rma_schedule_pin.json"
+#: tests that run extra programs after their pinned runs (error paths
+#: added after the table was recorded); only their prefix is pinned
+PIN_EXTENDED = {"test_window_errors"}
+
+
+def _schedule(res) -> dict:
+    agg = res.metrics["aggregate"]["counters"]
+    sim = res.metrics["cluster"]["counters"]
+    return {
+        "elapsed_us": res.elapsed_us,
+        "counters": {k: v for k, v in sorted({**agg, **sim}.items())
+                     if k.startswith(("rma.", "sim."))},
+    }
+
+
+@pytest.fixture(autouse=True)
+def schedule_pin(request, monkeypatch):
+    """Record every run of the test and check it against the pin table."""
+    runs = []
+    real_run = SPCluster.run
+
+    def recording_run(self, program, *args, **kwargs):
+        res = real_run(self, program, *args, **kwargs)
+        runs.append(_schedule(res))
+        return res
+
+    monkeypatch.setattr(SPCluster, "run", recording_run)
+    yield
+    request.node.user_properties.append(("rma_schedule", runs))
+    name = request.node.name
+    pinned = json.loads(PIN_PATH.read_text()).get(name) if PIN_PATH.exists() else None
+    if pinned is None:
+        pytest.fail(f"{name} has no row in {PIN_PATH.name}")
+    if request.node.originalname in PIN_EXTENDED:
+        runs = runs[: len(pinned)]
+    assert runs == pinned, f"{name}: RMA schedule moved"
 
 
 def cluster(n=2, stack="lapi-enhanced", mode="polling", **overrides):
@@ -413,3 +462,21 @@ def test_rma_metrics_and_trace(stack="lapi-enhanced"):
     for ph in phases:
         assert ph["latency_us"] > 0
         assert ph["bytes"] == 8
+
+
+if __name__ == "__main__":
+    # Rewrite the schedule-pin table from a full run of this module.
+    table = {}
+
+    class _Collect:
+        def pytest_runtest_logreport(self, report):
+            if report.when == "teardown":
+                for key, runs in report.user_properties:
+                    if key == "rma_schedule":
+                        table[report.nodeid.split("::")[-1]] = runs
+
+    pytest.main(["-q", "-p", "no:cacheprovider", __file__], plugins=[_Collect()])
+    PIN_PATH.parent.mkdir(exist_ok=True)
+    PIN_PATH.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(table)} rows to {PIN_PATH}")
+    sys.exit(0)
