@@ -14,7 +14,6 @@ These mirror the paper's §5.1/§6.1 methodology:
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 import numpy as np
@@ -25,8 +24,6 @@ from repro.machine import MachineParams
 __all__ = [
     "bandwidth_mbps",
     "interrupt_pingpong_us",
-    "pingpong_breakdown",
-    "pingpong_capture",
     "pingpong_result",
     "pingpong_us",
     "raw_lapi_pingpong_us",
@@ -82,56 +79,6 @@ def pingpong_us(
     """One-way latency (us) via a blocking-send/recv ping-pong."""
     return pingpong_result(stack, msg_size, reps=reps, warmup=warmup,
                            params=params, seed=seed).values[0]
-
-
-def pingpong_capture(
-    stack: str,
-    msg_size: int,
-    reps: int = 4,
-    params: Optional[MachineParams] = None,
-    seed: int = 0,
-    interrupt_mode: bool = False,
-) -> SPCluster:
-    """Deprecated alias for :func:`repro.obs.capture`.
-
-    ``interrupt_mode=True`` maps to ``mode="interrupt"``.
-    """
-    warnings.warn(
-        "pingpong_capture is deprecated; use repro.obs.capture(stack, size, "
-        "mode='interrupt'|'polling')",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro.obs import capture
-
-    return capture(stack, msg_size,
-                   mode="interrupt" if interrupt_mode else "polling",
-                   reps=reps, params=params, seed=seed)
-
-
-def pingpong_breakdown(
-    stack: str,
-    msg_size: int,
-    reps: int = 4,
-    params: Optional[MachineParams] = None,
-    seed: int = 0,
-    allow_truncated: bool = False,
-    interrupt_mode: bool = False,
-):
-    """Deprecated alias for :func:`repro.obs.breakdown`.
-
-    ``interrupt_mode=True`` maps to ``mode="interrupt"``.
-    """
-    warnings.warn(
-        "pingpong_breakdown is deprecated; use repro.obs.breakdown(stack, "
-        "size, mode='interrupt'|'polling')",
-        DeprecationWarning, stacklevel=2,
-    )
-    from repro.obs import breakdown
-
-    return breakdown(stack, msg_size,
-                     mode="interrupt" if interrupt_mode else "polling",
-                     reps=reps, params=params, seed=seed,
-                     allow_truncated=allow_truncated)
 
 
 def interrupt_pingpong_us(

@@ -848,10 +848,10 @@ class Lapi:
 
     def _hh_put(self, lapi, src, uhdr, mlen):
         buf = self.resolve_address(uhdr["name"])
-        if hasattr(buf, "rma_epoch_dirty"):
-            # ByteTarget writes through a memoryview, bypassing the
-            # window buffer's __setitem__ snapshot invalidation
-            buf.rma_epoch_dirty()
+        if hasattr(buf, "rma_write_view"):
+            # an RMA window range-checks the write and drops its epoch
+            # snapshot (ByteTarget bypasses its __setitem__)
+            return ByteTarget(buf.rma_write_view(uhdr["off"], mlen)), None, None
         return ByteTarget(buf, base=uhdr["off"]), None, None
 
     def _hh_get_req(self, lapi, src, uhdr, mlen):

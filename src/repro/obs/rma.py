@@ -1,10 +1,11 @@
 """RMA observability: op phases and epoch summaries from trace records.
 
-The RMA engines emit ``layer="rma"`` records at every call site (one per
-data-movement op, ``fence_enter``/``fence_exit`` per epoch, lock/unlock
-per passive epoch).  On the LAPI stacks each op also carries the
-cluster-unique message id it threads into the transport, so the
-origin-side *issue* record can be joined with the target-side LAPI
+The RMA core (``repro.mpi.rma.Window``) emits ``layer="rma"`` records
+at every call site (one per data-movement op, ``fence_enter``/
+``fence_exit`` per epoch, lock/unlock per passive epoch).  Every
+put/get/accumulate record also carries a cluster-unique message id;
+the LAPI stacks thread it into the transport, so the origin-side
+*issue* record can be joined with the target-side LAPI
 ``cmpl_done`` record — the moment the op's bytes (and its applied-counter
 bump) landed.  That join is the RMA analogue of the two-sided Fig-10
 breakdown: issue→apply latency per op, without a request object to hang
@@ -35,8 +36,9 @@ def rma_op_phases(tracer) -> list[dict[str, Any]]:
 
     Returns one dict per LAPI-stack data-movement op whose apply-side
     record is present: ``{op, origin, target, win, bytes, issue_us,
-    apply_us, latency_us}``.  Ops without a mid (native emulation, local
-    ops) and ops whose completion record was dropped are omitted —
+    apply_us, latency_us}``.  Ops whose mid never reaches a LAPI
+    completion (native emulation, local ops) and ops whose completion
+    record was dropped are omitted —
     callers needing totals should use :func:`rma_summary`.
     """
     applies: dict[str, float] = {}

@@ -85,6 +85,29 @@ def test_invariant_checker_flags_stuck_state():
     assert any("stuck in SenderWindow" in v for v in violations)
 
 
+@pytest.mark.parametrize("stack", ("native", "lapi-enhanced"))
+def test_invariant_checker_flags_stranded_rma(stack):
+    """A window left unfreed with a get still in flight is named on
+    both stacks: the window, and the reply nobody will deliver (LAPI's
+    reply table; on native, the reply receive left posted)."""
+    from repro import SPCluster
+    from repro.mpi import Vector
+
+    def program(comm, rank, size):
+        win = yield from comm.win_create(32)
+        if rank == 0:
+            yield from win.get(bytearray(16), 1, 0,
+                               datatype=Vector(count=2, blocklength=4, stride=8))
+
+    cluster = SPCluster(2, stack=stack)
+    cluster.run(program)
+    violations = check_invariants(cluster, b"", b"")
+    assert any("RMA windows never freed" in v for v in violations)
+    reply = ("RMA replies never delivered" if stack != "native"
+             else "posted receives never matched")
+    assert any(reply in v for v in violations), violations
+
+
 def test_streaming_recovers_from_reorder_storm():
     """Regression: a deferred eager message that finished assembling
     into its EA buffer before the announcement gap filled used to leave

@@ -29,9 +29,6 @@ MPI_STACKS = ("native", "lapi-base", "lapi-counters", "lapi-enhanced")
 MODES = ("polling", "interrupt")
 
 PIN_PATH = Path(__file__).parent / "data" / "rma_schedule_pin.json"
-#: tests that run extra programs after their pinned runs (error paths
-#: added after the table was recorded); only their prefix is pinned
-PIN_EXTENDED = {"test_window_errors"}
 
 
 def _schedule(res) -> dict:
@@ -62,8 +59,6 @@ def schedule_pin(request, monkeypatch):
     pinned = json.loads(PIN_PATH.read_text()).get(name) if PIN_PATH.exists() else None
     if pinned is None:
         pytest.fail(f"{name} has no row in {PIN_PATH.name}")
-    if request.node.originalname in PIN_EXTENDED:
-        runs = runs[: len(pinned)]
     assert runs == pinned, f"{name}: RMA schedule moved"
 
 
@@ -417,6 +412,95 @@ def test_window_errors():
     for stack in MPI_STACKS:
         res = cluster(2, stack).run(program)
         assert all(res.values)
+
+    for stack in MPI_STACKS:
+        res = cluster(2, stack).run(_local_out_of_range)
+        assert all(v == 16 for v in res.values)  # nothing grew
+        for op in OUT_OF_RANGE_OPS:
+            with pytest.raises(RmaError, match=r"window rma:\S+: 8 B at "
+                               r"offset 12 is outside its 16 B"):
+                cluster(2, stack).run(_remote_out_of_range, op)
+        res = cluster(2, stack).run(_free_with_open_epochs)
+        assert all(res.values)
+
+
+#: remote ops at offset 12 of a 16-byte window: each must fail at the
+#: target instead of growing the window, short-reading or crashing bare
+OUT_OF_RANGE_OPS = {
+    "put": lambda win, t: win.put(b"\x01" * 8, t, 12),
+    "get": lambda win, t: win.get(bytearray(8), t, 12),
+    "accumulate": lambda win, t: win.accumulate(b"\x01" * 8, t, 12),
+    "fetch_and_op": lambda win, t: win.fetch_and_op(1, t, 12),
+}
+
+
+def _local_out_of_range(comm, rank, size):
+    """Every op on the own window past its end is refused at the origin."""
+    win = yield from comm.win_create(16)
+    yield from win.fence()
+    dt = Vector(count=2, blocklength=4, stride=8)  # ranges 12+0:4, 12+8:4
+    for op in (
+        lambda: win.put(b"\x01" * 8, rank, 12),
+        lambda: win.put(bytes(16), rank, 12, datatype=dt),
+        lambda: win.get(bytearray(8), rank, 12),
+        lambda: win.get(bytearray(16), rank, 12, datatype=dt),
+        lambda: win.accumulate(b"\x01" * 8, rank, 12),
+        lambda: win.get_accumulate(b"\x01" * 8, bytearray(8), rank, 12),
+        lambda: win.fetch_and_op(1, rank, 12),
+        lambda: win.compare_and_swap(1, 0, rank, 12),
+        lambda: win.rput(b"\x01" * 8, rank, 12),
+        lambda: win.rget(bytearray(8), rank, 12),
+        lambda: win.get(bytearray(4), rank, -1),
+    ):
+        try:
+            yield from op()
+            raise AssertionError("out-of-range access accepted")
+        except RmaError as exc:
+            assert f"window {win.name}:" in str(exc)
+            assert "outside its 16 B" in str(exc)
+    assert bytes(win.mem) == bytes(16)
+    yield from win.fence()
+    yield from win.free()
+    return len(win.mem)
+
+
+def _remote_out_of_range(comm, rank, size, op):
+    win = yield from comm.win_create(16)
+    yield from win.fence()
+    if rank == 0:
+        yield from OUT_OF_RANGE_OPS[op](win, 1)
+    yield from win.fence()
+    yield from win.free()
+
+
+def _free_with_open_epochs(comm, rank, size):
+    """free() with any of this rank's epochs open raises before the
+    collective; closing the epoch makes it legal again."""
+    win = yield from comm.win_create(16)
+    peer = 1 - rank
+
+    def free_refused(what):
+        try:
+            yield from win.free()
+            raise AssertionError("free with an open epoch accepted")
+        except RmaError as exc:
+            assert what in str(exc)
+
+    yield from win.post([peer])
+    yield from win.start([peer])
+    yield from free_refused(f"access [{peer}], exposure [{peer}]")
+    yield from win.put(b"\x02" * 8, peer, 0)
+    yield from win.complete()
+    yield from free_refused(f"access [], exposure [{peer}]")
+    yield from win.wait()
+    if rank == 0:
+        yield from win.lock(1)
+        yield from win.put(b"\x03" * 8, 1, 8)
+        yield from free_refused("locks [1], access [], exposure []")
+        yield from win.unlock(1)
+    yield from win.free()
+    # the lock was released: rank 1's ledger is empty again
+    return not win.ledger.holders and not win.ledger.queue
 
 
 def test_win_create_from_existing_buffer():

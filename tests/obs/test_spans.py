@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.bench.harness import pingpong_capture
 from repro.obs import (
     TruncatedTraceError,
     build_span_trees,
+    capture,
     lapi_breakdowns,
     pipes_breakdowns,
     render_text,
@@ -21,7 +21,7 @@ SIZES = (256, 16384)  # eager and rendezvous
 @pytest.fixture(scope="module")
 def captures():
     return {
-        (stack, size): pingpong_capture(stack, size, reps=3)
+        (stack, size): capture(stack, size, reps=3)
         for stack in ALL_STACKS
         for size in SIZES
     }
@@ -126,7 +126,7 @@ def test_base_variant_completion_rides_the_cmpl_track(captures):
 def test_interrupt_dwell_is_its_own_phase():
     """Fig 13 methodology: native hysteresis dwell shows up as the
     ``interrupt`` phase, both in the spans and in the breakdowns."""
-    cluster = pingpong_capture("native", 8192, reps=2, interrupt_mode=True)
+    cluster = capture("native", 8192, mode="interrupt", reps=2)
     trees = build_span_trees(cluster.tracer)
     intr = [
         s for t in trees.values() for s in t.root.leaves()
@@ -141,8 +141,7 @@ def test_interrupt_dwell_is_its_own_phase():
 
 
 def test_lapi_isr_has_no_hysteresis_dwell():
-    cluster = pingpong_capture("lapi-enhanced", 8192, reps=2,
-                               interrupt_mode=True)
+    cluster = capture("lapi-enhanced", 8192, mode="interrupt", reps=2)
     downs = lapi_breakdowns(cluster.tracer)
     assert downs
     assert all(b.phases["interrupt"] == 0.0 for b in downs)
