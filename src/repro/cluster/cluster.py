@@ -45,7 +45,13 @@ __all__ = ["DeadlockError", "RankResult", "RunResult", "SPCluster", "STACKS"]
 
 class DeadlockError(SimulationError):
     """The event queue drained with ranks still blocked — a
-    communication deadlock.  The message names the stuck ranks."""
+    communication deadlock.  The message names the stuck ranks and, per
+    stuck rank, its matching state; ``blocked`` maps each stuck rank to
+    its :class:`repro.mpci.MatcherView` (None on ``raw-lapi``)."""
+
+    def __init__(self, message: str, blocked: Optional[dict] = None):
+        super().__init__(message)
+        self.blocked = blocked or {}
 
 STACKS = ("native", "lapi-base", "lapi-counters", "lapi-enhanced", "raw-lapi")
 
@@ -281,10 +287,15 @@ class SPCluster:
             if "deadlock" not in str(exc):
                 raise
             stuck = [r for r in range(self.num_nodes) if results[r] is None]
+            blocked = {r: self.backends[r].matcher.view() if self.backends
+                       else None for r in stuck}
+            lines = "".join(f"\n  rank {r}: {v.describe()}"
+                            for r, v in blocked.items() if v is not None)
             raise DeadlockError(
                 f"communication deadlock at t={self.env.now:.1f}us: "
                 f"rank(s) {stuck} never completed (every rank is blocked "
-                "waiting for a message or event that can no longer arrive)"
+                f"waiting for a message or event that can no longer arrive)"
+                f"{lines}", blocked,
             ) from exc
         return RunResult(
             ranks=[r for r in results],

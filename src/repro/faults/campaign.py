@@ -257,14 +257,15 @@ def check_invariants(cluster, payload: bytes,
 
     for b in cluster.backends:
         r = b.task_id
-        if len(b.posted):
-            violations.append(f"rank {r}: {len(b.posted)} posted receives never matched")
-        if len(b.early):
-            violations.append(f"rank {r}: {len(b.early)} early arrivals never claimed")
+        m = b.matcher.view()
+        if m.posted:
+            violations.append(f"rank {r}: {len(m.posted)} posted receives never matched")
+        if m.early:
+            violations.append(f"rank {r}: {len(m.early)} early arrivals never claimed")
         if b.pending_sends:
             violations.append(f"rank {r}: {len(b.pending_sends)} sends stuck pending")
-        if b.bound_recvs:
-            violations.append(f"rank {r}: {len(b.bound_recvs)} recvs stuck bound")
+        if m.bound:
+            violations.append(f"rank {r}: {len(m.bound)} recvs stuck bound")
         if getattr(b, "_attach_outstanding", None):
             violations.append(f"rank {r}: attach credits outstanding")
         eng = b._rma_engine

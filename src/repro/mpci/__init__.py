@@ -5,7 +5,7 @@ native one is thick (it also drives the Pipes byte stream), the MPI-LAPI
 one is thin (matching only; transport is LAPI's job).  The matching data
 structures — posted-receive queue and early-arrival queue with wildcard
 (``MPI_ANY_SOURCE``/``MPI_ANY_TAG``) support and non-overtaking order —
-are shared and live here.
+are shared and live here, bundled per task by :class:`Matcher`.
 """
 
 from repro.mpci.match import (
@@ -13,6 +13,8 @@ from repro.mpci.match import (
     ANY_TAG,
     EarlyArrivalQueue,
     Envelope,
+    Matcher,
+    MatcherView,
     PostedReceiveQueue,
     envelope_matches,
 )
@@ -22,6 +24,8 @@ __all__ = [
     "ANY_TAG",
     "EarlyArrivalQueue",
     "Envelope",
+    "Matcher",
+    "MatcherView",
     "PostedReceiveQueue",
     "envelope_matches",
 ]

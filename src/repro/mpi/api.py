@@ -225,7 +225,7 @@ class Communicator:
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Generator:
         """MPI_Iprobe: progress once, then peek the early-arrival queue."""
         yield from self.backend.progress("user")
-        entry, inspected = self.backend.early.peek_match(
+        entry, inspected = self.backend.matcher.early.peek_match(
             self.context, self._src_pattern(source), tag
         )
         yield from self.backend.cpu.execute(
@@ -331,7 +331,7 @@ class Communicator:
         yield from self.backend.cpu.execute("user", self.backend.params.mpi_call_us)
         if req.done or req.needs_finalize:
             return False
-        removed = self.backend.posted.remove(req)
+        removed = self.backend.matcher.posted.remove(req)
         if removed:
             req.cancelled = True
             req.complete(count=0)

@@ -1,4 +1,12 @@
-"""Shared backend machinery: matching flow, early arrivals, buffered mode.
+"""Shared backend machinery: the MPCI send prologue and receive path,
+early arrivals, buffered mode.
+
+Both stacks run the same receive path (:meth:`Backend.irecv`, the
+arrival decision :meth:`Backend._arrive`, data completion
+:meth:`Backend._data_complete`); the transports differ only in how they
+acknowledge a request-to-send (:meth:`Backend.ack_rts`), send a control
+message (:meth:`Backend.post_ctrl`), charge the arrival-side match cost,
+and order or assemble what arrives.
 
 Terminology: the *task* is the transport endpoint (node id); *rank* is a
 position within a communicator.  The backend speaks tasks for routing
@@ -9,13 +17,13 @@ rank in the message's communicator).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generator, Optional
+from typing import Generator, Optional
 
 from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
-from repro.mpci import EarlyArrivalQueue, Envelope, PostedReceiveQueue
-from repro.mpi.protocol import select_protocol
+from repro.mpci import Envelope, Matcher
+from repro.mpi.protocol import BUFFERED, EAGER, READY, select_protocol
 from repro.mpi.request import Request
 from repro.sim import Environment, Event
 
@@ -43,7 +51,6 @@ class InMsg:
         "ea_buf",
         "req",
         "assembled",
-        "matched",
     )
 
     def __init__(self, envelope: Envelope, src_task: int, mseq: int, size: int,
@@ -61,7 +68,14 @@ class InMsg:
         self.ea_buf: Optional[bytearray] = None
         self.req: Optional[Request] = None
         self.assembled = False
-        self.matched = False
+
+    @classmethod
+    def from_header(cls, hdr: dict, src_task: int) -> "InMsg":
+        """State for an eager or rts message from its send header
+        (:meth:`Backend._start_send`)."""
+        return cls(Envelope(hdr["ctx"], hdr["srank"], hdr["tag"]), src_task,
+                   hdr["mseq"], hdr["size"], hdr["t"], hdr["mode"], hdr["sid"],
+                   hdr["bfree"], mid=hdr.get("mid"))
 
 
 class PendingSend:
@@ -103,18 +117,15 @@ class Backend:
         self.task_id = task_id
         self.num_tasks = num_tasks
 
-        self.posted = PostedReceiveQueue()
-        self.early = EarlyArrivalQueue()
+        #: posted receives, early arrivals and bound rendezvous receives
+        self.matcher = Matcher()
         self._send_ids = itertools.count()
         self._mseq_next: dict[int, int] = {}  # per-destination send order
         self.pending_sends: dict[int, PendingSend] = {}
-        #: (src_task, sid) -> recv Request bound to an incoming rdata
-        self.bound_recvs: dict[tuple[int, int], Request] = {}
 
         # MPI_Buffer_attach accounting
         self._attach_capacity = 0
         self._attach_used = 0
-        self._attach_waiters: list[Event] = []
         #: sid -> bytes to release when the bfree notification arrives
         self._attach_outstanding: dict[int, int] = {}
 
@@ -157,12 +168,7 @@ class Backend:
         self._attach_outstanding[sid] = nbytes
 
     def _release_attached(self, sid: int) -> None:
-        nbytes = self._attach_outstanding.pop(sid, 0)
-        self._attach_used -= nbytes
-        waiters, self._attach_waiters = self._attach_waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed()
+        self._attach_used -= self._attach_outstanding.pop(sid, 0)
 
     # ------------------------------------------------------- EA buffers
     def _alloc_ea(self, size: int) -> bytearray:
@@ -177,23 +183,7 @@ class Backend:
         self.stats.early_arrivals += 1
         return bytearray(size)
 
-    def _free_ea(self, size: int) -> None:
-        self._ea_used -= size
-        self._g_ea.set(self._ea_used)
-
-    def _track_unexpected(self) -> None:
-        """Refresh the unexpected-queue depth gauge after a mutation."""
-        self._g_unexpected.set(len(self.early))
-
     # ---------------------------------------------------------- helpers
-    def next_mseq(self, dst_task: int) -> int:
-        n = self._mseq_next.get(dst_task, 0)
-        self._mseq_next[dst_task] = n + 1
-        return n
-
-    def next_sid(self) -> int:
-        return next(self._send_ids)
-
     def mint_mid(self, sid: int) -> str:
         """Cluster-unique message id for the send with local id ``sid``.
 
@@ -209,17 +199,18 @@ class Backend:
         p = self.params
         return p.match_base_us + inspected * p.match_per_entry_us
 
-    def select_protocol(self, mode: str, size: int) -> str:
-        proto = select_protocol(mode, size, self.params.eager_limit)
-        self.metrics.counter(f"mpi.proto.{proto}.{mode}").incr()
-        return proto
-
     # ------------------------------------------------- abstract surface
     def isend(self, thread, data, dst_task, src_rank, tag, context, mode,
               blocking=False) -> Generator:
         raise NotImplementedError
 
-    def irecv(self, thread, view, src_pattern, tag_pattern, context) -> Generator:
+    def ack_rts(self, thread: str, msg: InMsg) -> Generator:
+        """Tell the sender of a matched request-to-send to ship the data."""
+        raise NotImplementedError
+
+    def post_ctrl(self, dst_task: int, kind: str, hdr: dict) -> None:
+        """Queue control message ``kind`` (e.g. ``"bfree"``) for sending
+        from a context that cannot yield."""
         raise NotImplementedError
 
     def progress(self, thread: str) -> Generator:
@@ -230,6 +221,172 @@ class Backend:
 
     def set_interrupt_mode(self, enabled: bool) -> None:
         raise NotImplementedError
+
+    # ------------------------------------------------------------ sends
+    def _start_send(self, thread, data: bytes, dst_task: int, src_rank: int,
+                    tag: int, context: int, mode: str) -> Generator:
+        """The send path up to the transport, shared by both stacks: call
+        cost, protocol choice, ids, buffered-mode staging and the header
+        the first packet carries.  Returns ``(req, proto, hdr)``."""
+        p = self.params
+        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
+        req = Request(self.env, "send")
+        size = len(data)
+        proto = select_protocol(mode, size, p.eager_limit)
+        self.metrics.counter(f"mpi.proto.{proto}.{mode}").incr()
+        sid = next(self._send_ids)
+        mseq = self._mseq_next.get(dst_task, 0)
+        self._mseq_next[dst_task] = mseq + 1
+        want_bfree = mode == BUFFERED
+        if want_bfree:
+            # Fig 8: copy the message into the user-attached buffer first
+            self._reserve_attached(size, sid)
+            yield from self.cpu.memcpy(thread, size)
+        self.stats.msgs_sent += 1
+        hdr = {"ctx": context, "srank": src_rank, "tag": tag, "mseq": mseq,
+               "size": size, "mode": mode, "sid": sid,
+               "mid": self.mint_mid(sid), "bfree": want_bfree}
+        if proto == EAGER:
+            self.stats.eager_sends += 1
+            hdr["t"] = "eager"
+        else:
+            self.stats.rendezvous_started += 1
+            hdr["t"] = "rts"
+        return req, proto, hdr
+
+    @staticmethod
+    def _complete_when(ev: Event, req: Request, count: int) -> None:
+        """Complete send ``req`` once ``ev`` says its data has left."""
+        ev._add_callback(lambda _e: req.complete(count=count) if not req.done else None)
+
+    # ----------------------------------------------------------- receives
+    def irecv(self, thread, view, src_pattern: int, tag_pattern: int,
+              context: int) -> Generator:
+        """MPI_Irecv: probe the early queue, charge the match, commit."""
+        p = self.params
+        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
+        req = Request(self.env, "recv")
+        req.ctx = view
+        entry, inspected = self.matcher.early.match(context, src_pattern, tag_pattern)
+        self._g_unexpected.set(len(self.matcher.early))
+        yield from self.cpu.execute(thread, self.match_cost(inspected))
+        if entry is None:
+            # a message may have arrived while the match cost was charged;
+            # post re-checks the early queue before posting, without a
+            # yield in between, or the pair strands
+            entry = self.matcher.post(context, src_pattern, tag_pattern, req)
+        if entry is None:
+            self.stats.matches_posted += 1
+            return req
+
+        msg = entry[1]
+        self._bind(msg, req)
+        if msg.proto == "rts":
+            # Fig 9: acknowledge the request-to-send now that the receive
+            # is posted
+            yield from self.ack_rts(thread, msg)
+        elif msg.assembled:
+            # message already sits complete in the early-arrival buffer
+            yield from self._copy_ea_to_user(thread, msg, req)
+        # else data is still arriving into the EA buffer; finalized on
+        # completion
+        return req
+
+    def _bind(self, msg: InMsg, req: Request) -> None:
+        """Join a message to its receive; a request-to-send also reserves
+        the receive for the rendezvous data that follows its ack."""
+        view = req.ctx
+        if msg.size > len(view):
+            raise MpiFatal(
+                f"message of {msg.size}B truncates receive buffer of "
+                f"{len(view)}B (tag {msg.envelope.tag})"
+            )
+        msg.req = req
+        if msg.proto == "rts":
+            self.matcher.bind(msg.src_task, msg.sid, req, msg.envelope)
+
+    def _arrive(self, msg: InMsg, handle: Optional[Request] = None) -> int:
+        """The arrival decision (Fig 3b), committed without a yield.
+
+        ``handle`` is the posted receive the transport's probe claimed
+        before charging the match cost; without one, the posted queue is
+        searched now.  A matched message is bound to its receive;
+        otherwise it waits in the early queue — or, sent in ready mode,
+        is fatal.  Returns the entries the search here inspected (0 if
+        the probe's ``handle`` was used).
+        """
+        inspected = 0
+        if handle is None:
+            handle, inspected = self.matcher.arrive(
+                msg.envelope, msg, queue=msg.mode != READY)
+        if handle is None and msg.mode == READY:
+            # Fig 3: ready-mode message with no posted receive is fatal
+            raise MpiFatal(
+                f"ready-mode message (tag {msg.envelope.tag}) arrived with "
+                "no matching receive posted"
+            )
+        self.stats.trace("mpci", "early_arrival" if handle is None else "matched_posted",
+                         proto=msg.proto, tag=msg.envelope.tag, mseq=msg.mseq,
+                         mid=msg.mid)
+        if handle is None:
+            self._g_unexpected.set(len(self.matcher.early))
+        else:
+            self._bind(msg, handle)
+            if msg.assembled:
+                # a deferred LAPI message can finish assembling into its EA
+                # buffer before its announcement gap fills; the completion
+                # ran with no request bound, so finish the hand-off here
+                self._finish_from_ea(msg, handle)
+        return inspected
+
+    def _landing(self, msg: InMsg):
+        """Where a data message's bytes go: the bound receive's buffer,
+        else a fresh early-arrival buffer."""
+        if msg.req is not None:
+            return msg.req.ctx
+        msg.ea_buf = self._alloc_ea(msg.size)
+        return msg.ea_buf
+
+    def _claim_rdata(self, src_task: int, hdr: dict) -> InMsg:
+        """Receive state for second-phase rendezvous data, which needs no
+        matching: its request-to-send bound the receive."""
+        bound = self.matcher.claim(src_task, hdr["sid"])
+        if bound is None:
+            raise MpiFatal(f"rendezvous data for unknown receive (sid {hdr['sid']})")
+        req, envelope = bound
+        msg = InMsg(envelope, src_task, -1, hdr["size"], "rdata", "standard",
+                    hdr["sid"], hdr["bfree"], mid=hdr.get("mid"))
+        msg.req = req
+        return msg
+
+    def _data_complete(self, msg: InMsg) -> None:
+        """A data message (eager or rdata) is fully assembled (sync)."""
+        msg.assembled = True
+        req = msg.req
+        if req is not None:
+            if msg.ea_buf is None:
+                req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
+                             count=msg.size)
+                self.stats.msgs_received += 1
+            else:
+                self._finish_from_ea(msg, req)
+        if msg.want_bfree:
+            self.post_ctrl(msg.src_task, "bfree", {"sid": msg.sid, "mid": msg.mid})
+
+    def _finish_from_ea(self, msg: InMsg, req: Request) -> None:
+        """Leave the EA-to-user copy to the receive's next wait or test."""
+        req.set_finalizer(lambda thread: self._copy_ea_to_user(thread, msg, req))
+
+    def _copy_ea_to_user(self, thread: str, msg: InMsg, req: Request) -> Generator:
+        view = req.ctx
+        # buffer-to-buffer move; a bare bytearray slice would materialise
+        # a temporary copy first
+        view[: msg.size] = memoryview(msg.ea_buf)[: msg.size]
+        yield from self.cpu.memcpy(thread, msg.size)
+        self._ea_used -= msg.size
+        self._g_ea.set(self._ea_used)
+        req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
+        self.stats.msgs_received += 1
 
     # ------------------------------------------------------------- RMA
     def ensure_rma_engine(self):
@@ -245,21 +402,23 @@ class Backend:
     # ------------------------------------------------------ wait loop
     def wait(self, thread: str, req: Request) -> Generator:
         """Drive progress until ``req`` completes (polling discipline)."""
-        while True:
-            if req.needs_finalize:
-                yield from req.run_finalizer(thread)
-            if req.done:
-                return req.status
+        yield from self._poll_until(
+            thread, lambda: req.done or req.needs_finalize, req.changed)
+        if req.needs_finalize:
+            yield from req.run_finalizer(thread)
+        return req.status
+
+    def _poll_until(self, thread: str, done, wake) -> Generator:
+        """Make progress until ``done()``; after a pass that found nothing,
+        pay one poll check, then sleep until a packet or ``wake()``."""
+        while not done():
             progressed = yield from self.progress(thread)
-            if req.done or req.needs_finalize:
-                continue
-            if progressed:
+            if done() or progressed:
                 continue
             self.stats.polls += 1
             yield from self.cpu.execute(thread, self.params.poll_check_us)
-            if req.done or req.needs_finalize:
-                continue
-            yield self.env.any_of([self.wait_rx(), req.changed()])
+            if not done():
+                yield self.env.any_of([self.wait_rx(), wake()])
 
     def test(self, thread: str, req: Request) -> Generator:
         """Single progress pass; returns True if the request completed."""

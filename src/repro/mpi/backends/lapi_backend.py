@@ -28,10 +28,8 @@ from typing import Generator, Optional
 from repro.lapi import Lapi
 from repro.lapi.buffers import ByteTarget, NullTarget
 from repro.lapi.counters import Counter
-from repro.mpci import Envelope
-from repro.mpi.backends.base import Backend, InMsg, MpiFatal, PendingSend
-from repro.mpi.protocol import BUFFERED, EAGER, READY
-from repro.mpi.request import Request
+from repro.mpi.backends.base import Backend, InMsg, PendingSend
+from repro.mpi.protocol import EAGER
 from repro.sim import Event, Store
 
 __all__ = ["LapiBackend", "VARIANTS"]
@@ -97,7 +95,7 @@ class _Slot:
         try:
             while self.cntr.value > 0 and self.fifo:
                 self.cntr.sub(1)
-                self.backend._on_data_complete(self.fifo.popleft())
+                self.backend._data_complete(self.fifo.popleft())
         finally:
             self._busy = False
 
@@ -176,40 +174,12 @@ class LapiBackend(Backend):
     # ------------------------------------------------------------- sends
     def isend(self, thread, data: bytes, dst_task: int, src_rank: int, tag: int,
               context: int, mode: str, blocking: bool = False) -> Generator:
-        p = self.params
-        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
-        req = Request(self.env, "send")
-        size = len(data)
-        proto = self.select_protocol(mode, size)
-        sid = self.next_sid()
-        mid = self.mint_mid(sid)
-        mseq = self.next_mseq(dst_task)
-        want_bfree = mode == BUFFERED
-        if want_bfree:
-            # Fig 8: copy the message into the user-attached buffer first
-            self._reserve_attached(size, sid)
-            yield from self.cpu.memcpy(thread, size)
-        self.stats.msgs_sent += 1
-
-        uhdr = {
-            "ctx": context,
-            "srank": src_rank,
-            "tag": tag,
-            "mseq": mseq,
-            "size": size,
-            "mode": mode,
-            "sid": sid,
-            "mid": mid,
-            "bfree": want_bfree,
-        }
-
+        req, proto, uhdr = yield from self._start_send(
+            thread, data, dst_task, src_rank, tag, context, mode)
+        size, mid, want_bfree = uhdr["size"], uhdr["mid"], uhdr["bfree"]
         if proto == EAGER:
-            self.stats.eager_sends += 1
-            uhdr["t"] = "eager"
-            tgt_cntr_id = None
-            if self.variant == "counters":
-                pool = self._peer_slot_ids[dst_task]
-                tgt_cntr_id = pool[mseq % len(pool)]
+            pool = self._peer_slot_ids.get(dst_task)  # Counters only
+            tgt_cntr_id = pool[uhdr["mseq"] % len(pool)] if pool else None
             org = Counter(self.env, "org")
             yield from self.lapi.amsend(
                 thread, dst_task, "mpi_eager", uhdr, data,
@@ -218,15 +188,11 @@ class LapiBackend(Backend):
             if want_bfree:
                 req.complete(count=size)  # library owns the staged copy
             else:
-                org.changed()._add_callback(
-                    lambda _e: req.complete(count=size) if not req.done else None
-                )
+                self._complete_when(org.changed(), req, size)
         else:
-            self.stats.rendezvous_started += 1
-            uhdr["t"] = "rts"
             uhdr["blocking"] = blocking and not want_bfree
             ps = PendingSend(data, dst_task, uhdr, req, uhdr["blocking"])
-            self.pending_sends[sid] = ps
+            self.pending_sends[uhdr["sid"]] = ps
             yield from self.lapi.amsend(thread, dst_task, "mpi_rts", uhdr,
                                         mid=mid)
             if want_bfree:
@@ -239,19 +205,11 @@ class LapiBackend(Backend):
         return req
 
     def _wait_acked(self, thread: str, ps: PendingSend) -> Generator:
-        while not ps.acked:
-            progressed = yield from self.progress(thread)
-            if ps.acked:
-                break
-            if progressed:
-                continue
-            self.stats.polls += 1
-            yield from self.cpu.execute(thread, self.params.poll_check_us)
-            if ps.acked:
-                break
-            ev = self.env.event()
-            ps.waiter = ev
-            yield self.env.any_of([self.wait_rx(), ev])
+        def wake() -> Event:
+            ps.waiter = self.env.event()
+            return ps.waiter
+
+        yield from self._poll_until(thread, lambda: ps.acked, wake)
 
     def _launch_rdata(self, thread: str, ps: PendingSend) -> Generator:
         """Second rendezvous phase: ship the message like an eager send."""
@@ -268,12 +226,8 @@ class LapiBackend(Backend):
             org_cntr=org,
             mid=ps.uhdr.get("mid"),
         )
-        req = ps.req
-        if not req.done:
-            n = len(ps.data)
-            org.changed()._add_callback(
-                lambda _e: req.complete(count=n) if not req.done else None
-            )
+        if not ps.req.done:
+            self._complete_when(org.changed(), ps.req, len(ps.data))
         self.pending_sends.pop(sid, None)
 
     def _cmpl_launch_rdata(self, lapi: Lapi, thread: str, ps: PendingSend) -> Generator:
@@ -282,69 +236,23 @@ class LapiBackend(Backend):
         yield from self._launch_rdata(thread, ps)
 
     # ----------------------------------------------------------- receives
-    def irecv(self, thread, view, src_pattern: int, tag_pattern: int,
-              context: int) -> Generator:
-        p = self.params
-        yield from self.cpu.execute(thread, p.mpi_call_us + p.mpi_lock_us)
-        req = Request(self.env, "recv")
-        req.ctx = view
-        entry, inspected = self.early.match(context, src_pattern, tag_pattern)
-        self._track_unexpected()
-        yield from self.cpu.execute(thread, self.match_cost(inspected))
-        if entry is None:
-            # an eager header may have reached the early queue while the
-            # match cost was charged; re-check without yielding before
-            # the post, or the pair strands (as in NativeBackend.irecv)
-            entry, _ = self.early.match(context, src_pattern, tag_pattern)
-        if entry is None:
-            self.posted.post(context, src_pattern, tag_pattern, req)
-            self.stats.matches_posted += 1
-            return req
+    # perfbench/layers.py times ``vars(LapiBackend)["irecv"]``; drop this
+    # alias together with that entry (ROADMAP)
+    irecv = Backend.irecv
 
-        env_, msg = entry
-        self._check_fits(msg, view)
-        if msg.proto == "rts":
-            # Fig 9: acknowledge the request-to-send now that the receive
-            # is posted
-            msg.req = req
-            msg.matched = True
-            self.bound_recvs[(msg.src_task, msg.sid)] = (req, msg.envelope)
-            slot_cid = self._alloc_rdata_slot(msg)
-            yield from self.lapi.amsend(
-                thread, msg.src_task, "mpi_rts_ack",
-                {"sid": msg.sid, "slot": slot_cid, "mid": msg.mid},
-                mid=msg.mid,
-            )
-        elif msg.assembled:
-            # message already sits complete in the early-arrival buffer
-            yield from self._copy_ea_to_user(thread, msg, req)
-        else:
-            # data still arriving into the EA buffer; finalize on completion
-            msg.req = req
-        return req
+    def ack_rts(self, thread: str, msg: InMsg) -> Generator:
+        yield from self.lapi.amsend(thread, msg.src_task, "mpi_rts_ack",
+                                    self._rts_ack_hdr(msg), mid=msg.mid)
 
-    def _alloc_rdata_slot(self, msg: InMsg) -> Optional[int]:
-        if self.variant != "counters":
-            return None
-        pool = self._pools[msg.src_task]
-        return pool.cids[msg.mseq % len(pool)]
+    def post_ctrl(self, dst_task: int, kind: str, hdr: dict) -> None:
+        self._ctrlq.put((dst_task, f"mpi_{kind}", hdr))
 
-    def _check_fits(self, msg: InMsg, view) -> None:
-        if msg.size > len(view):
-            raise MpiFatal(
-                f"message of {msg.size}B truncates receive buffer of "
-                f"{len(view)}B (tag {msg.envelope.tag})"
-            )
-
-    def _copy_ea_to_user(self, thread: str, msg: InMsg, req: Request) -> Generator:
-        view = req.ctx
-        # buffer-to-buffer move; a bare bytearray slice would materialise
-        # a temporary copy first
-        view[: msg.size] = memoryview(msg.ea_buf)[: msg.size]
-        yield from self.cpu.memcpy(thread, msg.size)
-        self._free_ea(msg.size)
-        req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
-        self.stats.msgs_received += 1
+    def _rts_ack_hdr(self, msg: InMsg) -> dict:
+        """The rts-ack header; on Counters it names the pool slot whose
+        counter the rendezvous data will bump."""
+        pool = self._pools.get(msg.src_task)  # Counters only
+        slot = pool.cids[msg.mseq % len(pool)] if pool is not None else None
+        return {"sid": msg.sid, "slot": slot, "mid": msg.mid}
 
     # --------------------------------------------- matching (sync, in HH)
     def _announce(self, msg: InMsg) -> None:
@@ -374,124 +282,52 @@ class LapiBackend(Backend):
             self._expected[src] = nxt + 1
 
     def _match_now(self, msg: InMsg, deferred: bool) -> None:
-        """Try the posted-receive queue; fall back to the EA queue.
+        """Run the arrival decision inside a header handler.
 
-        For a matched request-to-send: when matched directly inside its
-        own header handler (``deferred=False``), the acknowledgement is
-        the job of the completion handler the header handler installs
-        (paper Fig 4c); a deferred match sends it via the control engine.
+        A header handler cannot yield, so the decision commits at once
+        and the match cost becomes a dispatcher charge applied after the
+        handler returns.  For a matched request-to-send: when matched
+        directly inside its own header handler (``deferred=False``), the
+        acknowledgement is the job of the completion handler the header
+        handler installs (paper Fig 4c); a deferred match sends it via
+        the control engine.
         """
-        p = self.params
-        handle, inspected = self.posted.match(msg.envelope)
-        self.lapi.add_dispatch_charge(self.match_cost(inspected) + p.mpi_lock_us)
-        msg.matched = True
-        if handle is not None:
-            self.stats.trace("mpci", "matched_posted", proto=msg.proto,
-                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
-            req: Request = handle
-            self._check_fits(msg, req.ctx)
-            msg.req = req
-            if msg.proto == "rts":
-                self.bound_recvs[(msg.src_task, msg.sid)] = (req, msg.envelope)
-                if deferred:
-                    self._ctrlq.put(
-                        (msg.src_task, "mpi_rts_ack",
-                         {"sid": msg.sid, "slot": self._alloc_rdata_slot(msg),
-                          "mid": msg.mid})
-                    )
-            elif msg.assembled:
-                # a deferred message can finish assembling into its EA
-                # buffer before the announcement gap fills; the completion
-                # ran with no request bound, so finish the hand-off here
-                backend = self
-
-                def finalize(thread: str, msg=msg, req=req) -> Generator:
-                    yield from backend._copy_ea_to_user(thread, msg, req)
-
-                req.set_finalizer(finalize)
-        elif msg.mode == READY:
-            # Fig 3: ready-mode message with no posted receive is fatal
-            raise MpiFatal(
-                f"ready-mode message (tag {msg.envelope.tag}) arrived with "
-                "no matching receive posted"
-            )
-        else:
-            self.stats.trace("mpci", "early_arrival", proto=msg.proto,
-                             tag=msg.envelope.tag, mseq=msg.mseq, mid=msg.mid)
-            self.early.add(msg.envelope, msg)
-            self._track_unexpected()
+        inspected = self._arrive(msg)
+        self.lapi.add_dispatch_charge(self.match_cost(inspected)
+                                      + self.params.mpi_lock_us)
+        if deferred and msg.req is not None and msg.proto == "rts":
+            self.post_ctrl(msg.src_task, "rts_ack", self._rts_ack_hdr(msg))
 
     # ------------------------------------------------------ completion
-    def _on_data_complete(self, msg: InMsg) -> None:
-        """A data message (eager or rdata) is fully assembled (sync)."""
-        msg.assembled = True
-        req = msg.req
-        if req is not None:
-            if msg.ea_buf is None:
-                req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
-                             count=msg.size)
-                self.stats.msgs_received += 1
-            else:
-                backend = self
-
-                def finalize(thread: str, msg=msg, req=req) -> Generator:
-                    yield from backend._copy_ea_to_user(thread, msg, req)
-
-                req.set_finalizer(finalize)
-        if msg.want_bfree:
-            self._ctrlq.put((msg.src_task, "mpi_bfree",
-                             {"sid": msg.sid, "mid": msg.mid}))
-
     def _cmpl_mark(self, lapi: Lapi, thread: str, msg: InMsg) -> Generator:
         """Base/Enhanced completion handler: mark the message complete
         (paper Fig 3c)."""
-        self._on_data_complete(msg)
+        self._data_complete(msg)
         yield self.env.timeout(0)
 
     def _cmpl_send_rts_ack(self, lapi: Lapi, thread: str, msg: InMsg) -> Generator:
         """Fig 4c: completion handler of a matched request-to-send."""
-        yield from lapi.amsend(
-            thread, msg.src_task, "mpi_rts_ack",
-            {"sid": msg.sid, "slot": self._alloc_rdata_slot(msg),
-             "mid": msg.mid},
-            mid=msg.mid,
-        )
+        yield from self.ack_rts(thread, msg)
 
     # ------------------------------------------------- header handlers
     def _hh_eager(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 3b: match; return the user buffer or an EA buffer."""
-        msg = InMsg(
-            Envelope(uhdr["ctx"], uhdr["srank"], uhdr["tag"]),
-            src_task, uhdr["mseq"], uhdr["size"], "eager", uhdr["mode"],
-            uhdr["sid"], uhdr["bfree"], mid=uhdr.get("mid"),
-        )
+        msg = InMsg.from_header(uhdr, src_task)
         self._announce(msg)
-        if msg.req is not None and msg.matched:
-            target = ByteTarget(msg.req.ctx)
-        else:
-            msg.ea_buf = self._alloc_ea(msg.size)
-            target = ByteTarget(msg.ea_buf)
-        return target, self._completion_for(msg), msg
-
-    def _completion_for(self, msg: InMsg):
-        """Choose the completion mechanism for a data message."""
+        target = ByteTarget(self._landing(msg))
         if self.variant == "counters":
             # dispatcher will increment the slot counter in-context;
             # binding the message to the slot replaces the handler
-            pool = self._pools[msg.src_task]
+            pool = self._pools[src_task]
             pool[msg.mseq % len(pool)].bind(msg)
-            return None
-        return self._cmpl_mark
+            return target, None, msg
+        return target, self._cmpl_mark, msg
 
     def _hh_rts(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 4b: header handler of the request-to-send."""
-        msg = InMsg(
-            Envelope(uhdr["ctx"], uhdr["srank"], uhdr["tag"]),
-            src_task, uhdr["mseq"], uhdr["size"], "rts", uhdr["mode"],
-            uhdr["sid"], uhdr["bfree"], mid=uhdr.get("mid"),
-        )
+        msg = InMsg.from_header(uhdr, src_task)
         self._announce(msg)
-        if msg.req is not None and msg.matched:
+        if msg.req is not None:
             # matched immediately: the ack is the completion handler's
             # job (Fig 4c) — threaded in base/counters, inline in enhanced
             return NullTarget(), self._cmpl_send_rts_ack, msg
@@ -515,20 +351,13 @@ class LapiBackend(Backend):
     def _hh_rdata(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Second-phase rendezvous data: receive straight into the bound
         user buffer (no matching needed)."""
-        bound = self.bound_recvs.pop((src_task, uhdr["sid"]), None)
-        if bound is None:
-            raise MpiFatal(f"rendezvous data for unknown receive (sid {uhdr['sid']})")
-        req, envelope = bound
-        msg = InMsg(envelope, src_task, -1, uhdr["size"], "rdata",
-                    "standard", uhdr["sid"], uhdr.get("bfree", False),
-                    mid=uhdr.get("mid"))
-        msg.req = req
-        msg.matched = True
+        msg = self._claim_rdata(src_task, uhdr)
+        target = ByteTarget(msg.req.ctx)
         if self.variant == "counters":
             pool = self._pools[src_task]
             pool[uhdr["slot"] - pool.cids.start].bind(msg)
-            return ByteTarget(req.ctx), None, msg
-        return ByteTarget(req.ctx), self._cmpl_mark, msg
+            return target, None, msg
+        return target, self._cmpl_mark, msg
 
     def _hh_bfree(self, lapi: Lapi, src_task: int, uhdr: dict, mlen: int):
         """Fig 8: receiver reports full receipt; free attached-buffer space."""

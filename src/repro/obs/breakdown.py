@@ -98,7 +98,7 @@ class Breakdown:
 
     src: int
     dst: int
-    key: Any  # LAPI msg number or Pipes send id, sender-scoped
+    key: Any  # LAPI msg number or Pipes send id, scoped by ``src``
     bytes: int
     start: float
     end: float
@@ -134,17 +134,20 @@ def _dwell_overlap(
 
 
 def _first_by_key(
-    records: list[TraceRecord], key_field: str
+    records: list[TraceRecord], *key_fields: str
 ) -> dict[tuple, TraceRecord]:
-    """Index records by (node, key), keeping the chronologically first."""
+    """Index records by ``(node, *key_fields)``, keeping the
+    chronologically first.
+
+    LAPI message numbers and Pipes frame ids are numbered per origin, so
+    a receive-side index must include the record's ``src`` field: on
+    more than two nodes, messages from different senders share numbers.
+    """
     out: dict[tuple, TraceRecord] = {}
     for r in records:
-        key = r.fields.get(key_field)
-        if key is None:
-            continue
-        k = (r.node, key)
-        if k not in out:
-            out[k] = r
+        key = tuple(r.fields.get(f) for f in key_fields)
+        if None not in key:
+            out.setdefault((r.node, *key), r)
     return out
 
 
@@ -159,10 +162,14 @@ def lapi_breakdowns(
     """
     _check_dropped(tracer, allow_truncated)
     pkt_tx = _first_by_key(tracer.filter(layer="adapter", event="pkt_tx"), "msg")
-    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"), "msg")
-    hdr = _first_by_key(tracer.filter(layer="lapi", event="hdr_handler"), "msg")
-    done_copy = _first_by_key(tracer.filter(layer="lapi", event="msg_complete"), "msg")
-    cmpl = _first_by_key(tracer.filter(layer="lapi", event="cmpl_done"), "msg")
+    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"),
+                           "src", "msg")
+    hdr = _first_by_key(tracer.filter(layer="lapi", event="hdr_handler"),
+                        "src", "msg")
+    done_copy = _first_by_key(tracer.filter(layer="lapi", event="msg_complete"),
+                              "src", "msg")
+    cmpl = _first_by_key(tracer.filter(layer="lapi", event="cmpl_done"),
+                         "src", "msg")
     # context switches into the completion-handler thread, per node
     switches: dict[int, list[TraceRecord]] = {}
     for r in tracer.filter(layer="cpu", event="ctx_switch", to="cmpl"):
@@ -174,10 +181,10 @@ def lapi_breakdowns(
         msg = send.fields["msg"]
         dst = send.fields["tgt"]
         t_tx = pkt_tx.get((send.node, msg))
-        t_rx = pkt_rx.get((dst, msg))
-        t_hdr = hdr.get((dst, msg))
-        t_asm = done_copy.get((dst, msg))
-        t_done = cmpl.get((dst, msg))
+        t_rx = pkt_rx.get((dst, send.node, msg))
+        t_hdr = hdr.get((dst, send.node, msg))
+        t_asm = done_copy.get((dst, send.node, msg))
+        t_done = cmpl.get((dst, send.node, msg))
         if None in (t_tx, t_rx, t_hdr, t_asm, t_done):
             continue  # still in flight (or truncated away)
         # the switch into the completion thread, if one was charged while
@@ -221,14 +228,17 @@ def pipes_breakdowns(
 ) -> list[Breakdown]:
     """One :class:`Breakdown` per completed native-stack data frame.
 
-    Frames are matched to their MPCI completion through the send id the
-    frame metadata carries, so only eager/rdata frames (the ones that
-    complete a message) produce entries; bare control frames do not.
+    Frames are matched to their MPCI completion through the
+    cluster-unique message id the frame metadata carries, so only
+    eager/rdata frames (the ones that complete a message) produce
+    entries; bare control frames do not.
     """
     _check_dropped(tracer, allow_truncated)
     pkt_tx = _first_by_key(tracer.filter(layer="adapter", event="pkt_tx"), "fid")
-    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"), "fid")
-    complete = _first_by_key(tracer.filter(layer="mpci", event="msg_complete"), "sid")
+    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"),
+                           "src", "fid")
+    complete = _first_by_key(tracer.filter(layer="mpci", event="msg_complete"),
+                             "mid")
     dwells = _dwells_by_node(tracer)
 
     out: list[Breakdown] = []
@@ -239,8 +249,8 @@ def pipes_breakdowns(
         sid = send.fields["sid"]
         dst = send.fields["dst"]
         t_tx = pkt_tx.get((send.node, fid))
-        t_rx = pkt_rx.get((dst, fid))
-        t_done = complete.get((dst, sid))
+        t_rx = pkt_rx.get((dst, send.node, fid))
+        t_done = complete.get((dst, send.fields.get("mid")))
         if None in (t_tx, t_rx, t_done):
             continue
         # In interrupt mode the receive-side delivery window includes the

@@ -54,13 +54,18 @@ def test_mpi_lapi_stack_composition():
 
 def test_both_stacks_share_matching_machinery():
     """The paper keeps MPCI's matching semantics in both stacks."""
-    from repro.mpci import EarlyArrivalQueue, PostedReceiveQueue
+    from repro.mpci import EarlyArrivalQueue, Matcher, PostedReceiveQueue
+    from repro.mpi.backends import Backend, LapiBackend, NativeBackend
 
     for stack in ("native", "lapi-enhanced"):
         cl = SPCluster(2, stack=stack)
         b = cl.backends[0]
-        assert isinstance(b.posted, PostedReceiveQueue)
-        assert isinstance(b.early, EarlyArrivalQueue)
+        assert isinstance(b.matcher, Matcher)
+        assert isinstance(b.matcher.posted, PostedReceiveQueue)
+        assert isinstance(b.matcher.early, EarlyArrivalQueue)
+    # one receive path: the stacks alias the shared irecv, not override it
+    assert NativeBackend.irecv is Backend.irecv
+    assert LapiBackend.irecv is Backend.irecv
 
 
 def test_raw_lapi_has_no_mpi_layer():

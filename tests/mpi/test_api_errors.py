@@ -79,6 +79,42 @@ def test_deadlock_error_names_stuck_ranks():
         run(2, program)
 
 
+STACKS = ("native", "lapi-base", "lapi-counters", "lapi-enhanced")
+
+
+@pytest.mark.parametrize("stack", STACKS)
+@pytest.mark.parametrize("nbytes", [64, 64 * 1024])  # eager, rendezvous
+def test_deadlock_error_names_stuck_matching_state(stack, nbytes):
+    """A tag mismatch strands the receive and the message in opposite
+    queues of rank 1's matcher; the report shows both (and, for a
+    rendezvous send, rank 0 blocked on the ack that never comes)."""
+    ctx = {}
+
+    def program(comm, rank, size):
+        ctx["world"] = comm.context
+        if rank == 0:
+            yield from comm.send(bytes(nbytes), dest=1, tag=7)
+        else:
+            yield from comm.recv(bytearray(nbytes), source=0, tag=8)
+
+    with pytest.raises(DeadlockError) as info:
+        SPCluster(2, stack=stack).run(program)
+    err = info.value
+    world = ctx["world"]
+    stuck = [1] if nbytes == 64 else [0, 1]
+    assert sorted(err.blocked) == stuck
+    view = err.blocked[1]
+    assert view.posted == ((world, 0, 8),)
+    assert view.early == ((world, 0, 7),)
+    assert view.bound == ()
+    assert view.stranded() == []
+    text = str(err)
+    assert f"rank 1: posted [Envelope(ctx={world}, src=0, tag=8)]" in text
+    assert f"early [Envelope(ctx={world}, src=0, tag=7)]" in text
+    if nbytes != 64:
+        assert err.blocked[0].early == () and "rank 0: posted []" in text
+
+
 def test_wtime_advances():
     def program(comm, rank, size):
         t0 = comm.wtime()

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.obs import PHASES, TruncatedTraceError, breakdown, lapi_breakdowns
+from repro.cluster import SPCluster
+from repro.obs import (
+    PHASES,
+    TruncatedTraceError,
+    breakdown,
+    lapi_breakdowns,
+    pipes_breakdowns,
+)
 from repro.trace import Tracer
 
 ALL_STACKS = ("lapi-base", "lapi-counters", "lapi-enhanced", "native")
@@ -29,6 +36,33 @@ def test_phases_partition_end_to_end(breakdowns, stack):
         assert set(b.phases) == set(PHASES)
         assert sum(b.phases.values()) == pytest.approx(b.end_to_end, abs=1e-9)
         assert all(v >= 0.0 for v in b.phases.values()), b.phases
+
+
+def _staggered_fan_in(comm, rank, size):
+    """Ranks 1..3 each send 64 B to rank 0, 100 us apart."""
+    buf = bytearray(64)
+    if rank == 0:
+        for _ in range(size - 1):
+            yield from comm.recv(buf)
+    else:
+        yield comm.backend.env.timeout(100.0 * rank)
+        yield from comm.send(bytes(64), dest=0)
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_fan_in_pairs_each_message_with_its_own_sender(stack):
+    """LAPI message numbers and Pipes frame ids are per origin: three
+    senders' first data messages share a number at rank 0, and pairing
+    by number alone gave later senders a wire time of -97/-197 us."""
+    cl = SPCluster(4, stack=stack, trace=True)
+    cl.run(_staggered_fan_in)
+    per_stack = pipes_breakdowns if stack == "native" else lapi_breakdowns
+    downs = [b for b in per_stack(cl.tracer) if b.bytes == 64]
+    assert sorted(b.src for b in downs) == [1, 2, 3]
+    for b in downs:
+        assert all(v >= 0.0 for v in b.phases.values()), (b.src, b.phases)
+        assert sum(b.phases.values()) == pytest.approx(b.end_to_end, abs=1e-9)
+        assert b.end_to_end < 100.0, (b.src, b.end_to_end)
 
 
 def test_base_pays_the_thread_switch(breakdowns):
