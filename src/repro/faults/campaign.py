@@ -15,8 +15,10 @@ A campaign run is three phases per (plan, workload) pair:
    * payloads byte-equal to the reference run (zero corruption),
    * no stuck requests (pending sends/recvs, attach credits),
    * matcher queues drained (posted and early-arrival),
-   * every ``SenderWindow``/``ReceiverLedger`` empty (nothing in
-     flight, no sequence gaps, no stashed fragments),
+   * every endpoint's reliable flows empty (nothing in flight, no
+     sequence gaps; :meth:`repro.transport.ReliableFlows.inflight`),
+     no LAPI send unwindowed or reassembly open, no Pipes packet
+     stashed out of order,
    * retransmission count bounded by the injected damage.
 
 Violations are strings naming the failed invariant; a workload that
@@ -36,7 +38,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.faults.plan import FaultPlan, builtin_plan
+from repro.faults.plan import PLANS, FaultPlan, builtin_plan
 
 __all__ = [
     "CampaignResult",
@@ -192,26 +194,7 @@ def _payload(result) -> bytes:
 # --------------------------------------------------------------- quiesce
 def transport_quiet(cluster) -> bool:
     """True when nothing is in flight anywhere in the transport."""
-    for a in cluster.adapters:
-        if a.rx_pending:
-            return False
-    for lapi in cluster.lapis:
-        if lapi is None:
-            continue
-        if lapi._tx_outstanding or lapi._assemblies:
-            return False
-        if any(f.window.in_flight for f in lapi._flow_tx.values()):
-            return False
-        if any(f.ledger.gap_count for f in lapi._flow_rx.values()):
-            return False
-    for pipe in cluster.pipes:
-        if pipe is None:
-            continue
-        if any(f.window.in_flight for f in pipe._tx.values()):
-            return False
-        if any(f.stash or f.ledger.gap_count for f in pipe._rx.values()):
-            return False
-    return True
+    return not _transport_violations(cluster)
 
 
 def quiesce(cluster, budget_us: float = 500_000.0,
@@ -242,6 +225,40 @@ def quiesce(cluster, budget_us: float = 500_000.0,
 def _fault_counters(cluster) -> dict[str, int]:
     counters = cluster.metrics.snapshot()["counters"]
     return {k: v for k, v in sorted(counters.items()) if k.startswith("fault.")}
+
+
+def _transport_violations(cluster) -> list[str]:
+    """What the transport still holds: unacknowledged or unwindowed
+    sends, sequence gaps, open reassemblies, stashed or undrained
+    packets."""
+    violations: list[str] = []
+    endpoints = []
+    for i, lapi in enumerate(cluster.lapis):
+        if lapi is None:
+            continue
+        if lapi.unwindowed_sends:
+            violations.append(f"node {i}: {lapi.unwindowed_sends} LAPI sends unwindowed")
+        if lapi.open_assemblies:
+            violations.append(f"node {i}: {lapi.open_assemblies} reassemblies unfinished")
+        endpoints.append((i, lapi.flows))
+    for i, pipe in enumerate(cluster.pipes):
+        if pipe is None:
+            continue
+        if pipe.stashed:
+            violations.append(f"node {i}: {pipe.stashed} pipe packets stashed out of order")
+        endpoints.append((i, pipe.flows))
+    for i, flows in endpoints:
+        view = flows.inflight()
+        if view.unacked:
+            violations.append(f"node {i}: {sum(view.unacked.values())} "
+                              f"{flows.layer} packets stuck in SenderWindow")
+        if view.gaps:
+            violations.append(f"node {i}: {flows.layer} ReceiverLedger holding "
+                              f"{sum(view.gaps.values())} gaps")
+    for i, a in enumerate(cluster.adapters):
+        if a.rx_pending:
+            violations.append(f"node {i}: {a.rx_pending} packets undrained in host FIFO")
+    return violations
 
 
 def check_invariants(cluster, payload: bytes,
@@ -278,36 +295,7 @@ def check_invariants(cluster, payload: bytes,
                     f"rank {r}: {len(eng._pending)} RMA replies never "
                     f"delivered")
 
-    for i, lapi in enumerate(cluster.lapis):
-        if lapi is None:
-            continue
-        if lapi._tx_outstanding:
-            violations.append(f"node {i}: {lapi._tx_outstanding} LAPI sends unwindowed")
-        stuck = sum(f.window.in_flight for f in lapi._flow_tx.values())
-        if stuck:
-            violations.append(f"node {i}: {stuck} packets stuck in SenderWindow")
-        if lapi._assemblies:
-            violations.append(f"node {i}: {len(lapi._assemblies)} reassemblies unfinished")
-        gaps = sum(f.ledger.gap_count for f in lapi._flow_rx.values())
-        if gaps:
-            violations.append(f"node {i}: ReceiverLedger holding {gaps} gaps")
-
-    for i, pipe in enumerate(cluster.pipes):
-        if pipe is None:
-            continue
-        stuck = sum(f.window.in_flight for f in pipe._tx.values())
-        if stuck:
-            violations.append(f"node {i}: {stuck} packets stuck in pipe SenderWindow")
-        stashed = sum(len(f.stash) for f in pipe._rx.values())
-        if stashed:
-            violations.append(f"node {i}: {stashed} pipe packets stashed out of order")
-        gaps = sum(f.ledger.gap_count for f in pipe._rx.values())
-        if gaps:
-            violations.append(f"node {i}: pipe ReceiverLedger holding {gaps} gaps")
-
-    for i, a in enumerate(cluster.adapters):
-        if a.rx_pending:
-            violations.append(f"node {i}: {a.rx_pending} packets undrained in host FIFO")
+    violations.extend(_transport_violations(cluster))
 
     retrans = sum(s.retransmissions for s in cluster.node_stats)
     fault = _fault_counters(cluster)
@@ -474,16 +462,19 @@ def run_soak(stack: str = "lapi-enhanced", seed: int = 0,
 def main(argv=None) -> int:
     import argparse
 
+    from repro.cluster import STACKS
+
     parser = argparse.ArgumentParser(
         description="Run fault campaigns and check recovery invariants.")
     parser.add_argument("--soak", action="store_true",
                         help="the CI chaos soak (3 plans x pingpong + NAS)")
     parser.add_argument("--plan", action="append", default=None,
+                        choices=sorted(PLANS),
                         help="built-in plan name (repeatable)")
     parser.add_argument("--workload", action="append", default=None,
                         choices=sorted(WORKLOADS),
                         help="workload name (repeatable)")
-    parser.add_argument("--stack", default="lapi-enhanced")
+    parser.add_argument("--stack", default="lapi-enhanced", choices=STACKS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--jobs", type=int, default=1,
                         help="parallel campaign workers (0 = one per CPU); "

@@ -23,7 +23,7 @@ from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.sim import AnyOf, Environment, Event, Store
-from repro.transport import ReceiverLedger, SenderWindow
+from repro.transport import ReliableFlows
 
 __all__ = ["Lapi", "LapiError"]
 
@@ -36,25 +36,6 @@ RMW_OPS = ("FETCH_AND_ADD", "FETCH_AND_OR", "SWAP", "COMPARE_AND_SWAP")
 
 class LapiError(RuntimeError):
     """Misuse of the LAPI interface."""
-
-
-class _FlowTx:
-    __slots__ = ("window", "waiters", "last_progress", "rto_alive")
-
-    def __init__(self, window_pkts: int):
-        self.window = SenderWindow(window_pkts)
-        self.waiters: list[Event] = []
-        self.last_progress = 0.0
-        self.rto_alive = False
-
-
-class _FlowRx:
-    __slots__ = ("ledger", "since_ack", "ack_timer_alive")
-
-    def __init__(self):
-        self.ledger = ReceiverLedger()
-        self.since_ack = 0
-        self.ack_timer_alive = False
 
 
 class _Assembly:
@@ -167,8 +148,6 @@ class Lapi:
         self._reserved: list[tuple[range, str, Callable[[int, Counter], None]]] = []
         self._addresses: dict[str, Any] = {}
 
-        self._flow_tx: dict[int, _FlowTx] = {}
-        self._flow_rx: dict[int, _FlowRx] = {}
         self._assemblies: dict[tuple[int, int], _Assembly] = {}
         self._msg_nos = itertools.count()
         self._txq = Store(env, name=f"lapi{task_id}.txq")
@@ -200,7 +179,11 @@ class Lapi:
         self._m_get = self.metrics.counter("lapi.get")
         self._m_rmw = self.metrics.counter("lapi.rmw")
         self._m_dispatch = self.metrics.counter("lapi.dispatch_pkts")
-        self._g_inflight = self.metrics.gauge("lapi.pkts_in_flight")
+        self.flows = ReliableFlows(
+            self, layer="lapi", ack_kind=_ACK,
+            window_pkts=params.lapi_window_pkts, rto_us=params.lapi_rto_us,
+            pkt_us=params.lapi_tx_pkt_us, ack_every=params.lapi_ack_every,
+            ack_delay_us=params.lapi_ack_delay_us)
 
         self._register_internal_handlers()
         env.process(self._tx_engine(), name=f"lapi{task_id}.tx")
@@ -531,28 +514,24 @@ class Lapi:
         del self._gfence_seen[epoch]
 
     def _quiesced(self) -> bool:
-        return self._tx_outstanding == 0 and all(
-            f.window.in_flight == 0 for f in self._flow_tx.values()
-        )
+        return self._tx_outstanding == 0 and not self.flows.inflight().unacked
+
+    @property
+    def unwindowed_sends(self) -> int:
+        """Messages queued at the transmit engine whose packets have not
+        all entered their flow's window."""
+        return self._tx_outstanding
+
+    @property
+    def open_assemblies(self) -> int:
+        """Incoming messages still being reassembled."""
+        return len(self._assemblies)
 
     # ===================================================== TX engine
-    def _flow_for_tx(self, dst: int) -> _FlowTx:
-        flow = self._flow_tx.get(dst)
-        if flow is None:
-            flow = self._flow_tx[dst] = _FlowTx(self.params.lapi_window_pkts)
-        return flow
-
-    def _flow_for_rx(self, src: int) -> _FlowRx:
-        flow = self._flow_rx.get(src)
-        if flow is None:
-            flow = self._flow_rx[src] = _FlowRx()
-        return flow
-
     def _tx_engine(self) -> Generator:
         p = self.params
         while True:
             desc: _SendDesc = yield self._txq.get()
-            flow = self._flow_for_tx(desc.dst)
             udata = desc.udata
             chunks = fragment(len(udata), p.packet_payload)
             last_idx = len(chunks) - 1
@@ -563,15 +542,6 @@ class Lapi:
             # mutates.
             view = memoryview(udata) if last_idx > 0 else None
             for idx, (off, ln) in enumerate(chunks):
-                while not flow.window.can_send:
-                    # Drive the dispatcher while stalled: the window opens
-                    # on acks that may be sitting in our own adapter FIFO.
-                    yield from self.dispatch("user")
-                    if flow.window.can_send:
-                        break
-                    ev = self.env.event()
-                    flow.waiters.append(ev)
-                    yield AnyOf(self.env, [ev, self.hal.wait_rx()])
                 header: dict[str, Any] = {
                     "kind": _DATA,
                     "seq": None,
@@ -587,51 +557,16 @@ class Lapi:
                     header["tgt_cntr"] = desc.tgt_cntr_id
                     header["want_cmpl"] = desc.want_cmpl
                 payload = udata if view is None else view[off : off + ln]
-                seq = flow.window.send((header, payload))
-                self._g_inflight.add(1)
-                header["seq"] = seq
+                yield from self.flows.admit("user", desc.dst, header, payload)
                 yield from self.cpu.execute("user", p.lapi_tx_pkt_us)
                 dma_ev = None
                 if idx == last_idx and desc.org_cntr is not None:
                     dma_ev = self.env.event()
                     org = desc.org_cntr
                     dma_ev._add_callback(lambda _e, c=org: c.incr())
-                yield from self.hal.send("user", desc.dst, header, payload, on_dma_done=dma_ev)
-                flow.last_progress = self.env.now
-                self._ensure_rto(desc.dst, flow)
+                yield from self.flows.transmit("user", desc.dst, header, payload,
+                                               on_dma_done=dma_ev)
             self._tx_outstanding -= 1
-
-    def _ensure_rto(self, dst: int, flow: _FlowTx) -> None:
-        if flow.rto_alive:
-            return
-        flow.rto_alive = True
-        self.env.process(self._rto_loop(dst, flow), name=f"lapi{self.task_id}.rto->{dst}")
-
-    def _rto_loop(self, dst: int, flow: _FlowTx) -> Generator:
-        p = self.params
-        rto = p.lapi_rto_us
-        try:
-            while flow.window.in_flight:
-                yield self.env.timeout(rto)
-                if not flow.window.in_flight:
-                    break
-                yield from self.dispatch("user")
-                if not flow.window.in_flight:
-                    break
-                if self.env.now - flow.last_progress < rto:
-                    continue
-                oldest = flow.window.oldest_unacked()
-                if oldest is None:
-                    break
-                _seq, (header, payload) = oldest
-                self.stats.retransmissions += 1
-                self.stats.trace("lapi", "retransmit", dst=dst, seq=_seq)
-                yield from self.cpu.execute("user", p.lapi_tx_pkt_us)
-                yield from self.hal.send("user", dst, header, payload)
-                flow.last_progress = self.env.now
-                rto = min(rto * 2, p.lapi_rto_us * 16)
-        finally:
-            flow.rto_alive = False
 
     # ===================================================== dispatcher
     def dispatch(self, thread: str) -> Generator:
@@ -667,15 +602,7 @@ class Lapi:
         yield from self.dispatch(f"irq{self.task_id}")
 
     def _handle_ack(self, src: int, cum: int) -> None:
-        flow = self._flow_for_tx(src)
-        freed = flow.window.on_ack(cum)
-        if freed:
-            self._g_inflight.add(-freed)
-            flow.last_progress = self.env.now
-            waiters, flow.waiters = flow.waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
+        self.flows.on_ack(src, cum)
         if self._quiesced():
             waiters, self._quiesce_waiters = self._quiesce_waiters, []
             for ev in waiters:
@@ -686,12 +613,9 @@ class Lapi:
         self, thread: str, src: int, header: dict[str, Any], payload: bytes
     ) -> Generator:
         p = self.params
-        flow = self._flow_for_rx(src)
         yield from self.cpu.execute(thread, p.lapi_dispatch_us)
-        if flow.ledger.accept(header["seq"]) == "dup":
-            yield from self._send_ack(thread, src, flow)
+        if not (yield from self.flows.accept(thread, src, header["seq"])):
             return
-        flow.since_ack += 1
 
         key = (src, header["msg"])
         asm = self._assemblies.get(key)
@@ -745,11 +669,7 @@ class Lapi:
             del self._assemblies[key]
             yield from self._complete(thread, asm)
 
-        if flow.since_ack >= p.lapi_ack_every:
-            yield from self._send_ack(thread, src, flow)
-        elif flow.since_ack > 0 and not flow.ack_timer_alive:
-            flow.ack_timer_alive = True
-            self.env.process(self._delayed_ack(src, flow), name=f"lapi{self.task_id}.dack")
+        yield from self.flows.delivered(thread, src)
 
     def _assemble(self, thread: str, asm: _Assembly, off: int, data: bytes) -> Generator:
         """Move one chunk HAL buffer -> target (the single MPI-LAPI copy)."""
@@ -809,19 +729,6 @@ class Lapi:
                 "_lapi_cmpl",
                 {"msg": asm.msg_no, "origin": self.task_id},
             )
-
-    def _send_ack(self, thread: str, src: int, flow: _FlowRx) -> Generator:
-        flow.since_ack = 0
-        self.stats.acks_sent += 1
-        yield from self.hal.send(thread, src, {"kind": _ACK, "cum": flow.ledger.cum_ack}, b"")
-
-    def _delayed_ack(self, src: int, flow: _FlowRx) -> Generator:
-        try:
-            yield self.env.timeout(self.params.lapi_ack_delay_us)
-            if flow.since_ack > 0:
-                yield from self._send_ack("user", src, flow)
-        finally:
-            flow.ack_timer_alive = False
 
     def add_dispatch_charge(self, extra_us: float) -> None:
         """Request extra dispatcher CPU time on behalf of a (synchronous)

@@ -16,12 +16,11 @@ counters) reach the registry directly via ``stats.registry``.
 
 from __future__ import annotations
 
-from dataclasses import field  # re-exported for backwards compatibility
 from typing import Optional
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["COUNTER_FIELDS", "NodeStats", "aggregate", "field"]
+__all__ = ["COUNTER_FIELDS", "NodeStats", "aggregate"]
 
 #: the legacy per-node counters, in their historical (declaration) order
 COUNTER_FIELDS = (

@@ -58,12 +58,12 @@ class NativeBackend(Backend):
 
     # ---------------------------------------------------------- plumbing
     def progress(self, thread: str) -> Generator:
-        before = self.pipes.rx_pending
+        before = self.pipes.hal.rx_pending
         yield from self.pipes.dispatch(thread)
         return before
 
     def wait_rx(self) -> Event:
-        return self.pipes.wait_rx()
+        return self.pipes.hal.wait_rx()
 
     def set_interrupt_mode(self, enabled: bool) -> None:
         adapter = self.pipes.hal.adapter
@@ -87,7 +87,7 @@ class NativeBackend(Backend):
             self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
                              thr=thread)
             yield from self.cpu.execute(thread, self._hysteresis_us)
-            if self.pipes.rx_pending == 0:
+            if self.pipes.hal.rx_pending == 0:
                 self._hysteresis_us = p.hysteresis_initial_us
                 return
             # traffic kept coming: process it and dwell longer next round

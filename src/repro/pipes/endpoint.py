@@ -1,15 +1,20 @@
-"""The per-node Pipes endpoint: flows, windows, acks, in-order delivery."""
+"""The per-node Pipes endpoint: framing, staging copies, in-order delivery.
+
+Windows, acks and retransmission are the shared
+:class:`repro.transport.ReliableFlows` engine's.
+"""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Generator, Optional
 
 from repro.hal import Hal, fragment
 from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
-from repro.sim import AnyOf, Environment, Event
-from repro.transport import ReceiverLedger, SenderWindow
+from repro.sim import Environment, Event
+from repro.transport import ReliableFlows
 
 __all__ = ["PipeEndpoint"]
 
@@ -18,29 +23,14 @@ _DATA = "pipe"
 _ACK = "pipe_ack"
 
 
-class _FlowTx:
-    """Sender-side state for one destination."""
+class _InOrder:
+    """Packets from one source held until the stream reaches them."""
 
-    __slots__ = ("window", "waiters", "last_progress", "rto_alive", "unsent_acked")
-
-    def __init__(self, window_pkts: int):
-        self.window = SenderWindow(window_pkts)
-        self.waiters: list[Event] = []
-        self.last_progress = 0.0
-        self.rto_alive = False
-
-
-class _FlowRx:
-    """Receiver-side state for one source."""
-
-    __slots__ = ("ledger", "stash", "next_deliver", "since_ack", "ack_timer_alive")
+    __slots__ = ("stash", "next_deliver")
 
     def __init__(self):
-        self.ledger = ReceiverLedger()
         self.stash: dict[int, tuple[dict, bytes]] = {}
         self.next_deliver = 0
-        self.since_ack = 0
-        self.ack_timer_alive = False
 
 
 class PipeEndpoint:
@@ -65,8 +55,7 @@ class PipeEndpoint:
         self.hal = hal
         self.params = params
         self.stats = stats
-        self._tx: dict[int, _FlowTx] = {}
-        self._rx: dict[int, _FlowRx] = {}
+        self._order: dict[int, _InOrder] = defaultdict(_InOrder)
         self.on_packet: Optional[Callable[..., Generator]] = None
         # dispatch serialization: see :meth:`dispatch`
         self._dispatching = False
@@ -80,20 +69,16 @@ class PipeEndpoint:
         self._m_frames = self.metrics.counter("pipes.frames_sent")
         self._m_staged = self.metrics.counter("pipes.bytes_staged")
         self._m_reordered = self.metrics.counter("pipes.bytes_reordered")
-        self._g_inflight = self.metrics.gauge("pipes.pkts_in_flight")
+        self.flows = ReliableFlows(
+            self, layer="pipes", ack_kind=_ACK,
+            window_pkts=params.pipe_window_pkts, rto_us=params.pipe_rto_us,
+            pkt_us=params.pipe_pkt_us, ack_every=params.pipe_ack_every,
+            ack_delay_us=params.pipe_ack_delay_us)
 
-    # ------------------------------------------------------------------
-    def _flow_tx(self, dst: int) -> _FlowTx:
-        flow = self._tx.get(dst)
-        if flow is None:
-            flow = self._tx[dst] = _FlowTx(self.params.pipe_window_pkts)
-        return flow
-
-    def _flow_rx(self, src: int) -> _FlowRx:
-        flow = self._rx.get(src)
-        if flow is None:
-            flow = self._rx[src] = _FlowRx()
-        return flow
+    @property
+    def stashed(self) -> int:
+        """Packets received out of order and not yet delivered."""
+        return sum(len(o.stash) for o in self._order.values())
 
     # ----------------------------------------------------------- sending
     def send_frame(
@@ -123,7 +108,6 @@ class PipeEndpoint:
         """
         if dst == self.hal.node_id:
             raise ValueError("pipes do not loop back to self")
-        flow = self._flow_tx(dst)
         size = len(data)
         self._m_frames.incr()
         self.stats.trace("pipes", "frame_send", fid=fid, dst=dst, bytes=size,
@@ -137,24 +121,11 @@ class PipeEndpoint:
         # itself.
         view = memoryview(data) if last_idx > 0 else None
         for idx, (off, ln) in enumerate(chunks):
-            while not flow.window.can_send:
-                # Make progress while stalled: acks (and data) may be
-                # sitting in our own adapter FIFO — polling-mode MPI
-                # advances the protocol from inside blocking calls.
-                yield from self.dispatch(thread)
-                if flow.window.can_send:
-                    break
-                # Wait on the window as well as the FIFO: a concurrent
-                # dispatcher (MPCI poller, ISR) may pop the ack before we
-                # wake, in which case no further rx ever arrives here.
-                waiter = self.env.event()
-                flow.waiters.append(waiter)
-                yield AnyOf(self.env, [waiter, self.wait_rx()])
             payload = data if view is None else view[off : off + ln]
             buffered = off < buffered_prefix or (off + ln) > size - buffered_suffix
             header: dict[str, Any] = {
                 "kind": _DATA,
-                "seq": None,  # assigned below
+                "seq": None,  # assigned by admit
                 "fid": fid,
                 "mid": mid,
                 "foff": off,
@@ -163,55 +134,16 @@ class PipeEndpoint:
             }
             if idx == 0:
                 header["meta"] = meta
-            seq = flow.window.send((header, payload))
-            self._g_inflight.add(1)
-            header["seq"] = seq
+            yield from self.flows.admit(thread, dst, header, payload)
             # per-packet Pipes protocol work
             yield from self.cpu.execute(thread, self.params.pipe_pkt_us)
             if buffered and ln > 0:
                 # staging copy pipe buffer -> HAL network buffer
                 self._m_staged.incr(ln)
                 yield from self.cpu.memcpy(thread, ln)
-            yield from self.hal.send(
-                thread,
-                dst,
-                header,
-                payload,
-                on_dma_done=on_payload_out if idx == last_idx else None,
-            )
-            flow.last_progress = self.env.now
-            self._ensure_rto(dst, flow)
-
-    def _ensure_rto(self, dst: int, flow: _FlowTx) -> None:
-        if flow.rto_alive:
-            return
-        flow.rto_alive = True
-        self.env.process(self._rto_loop(dst, flow), name=f"pipe.rto->{dst}")
-
-    def _rto_loop(self, dst: int, flow: _FlowTx) -> Generator:
-        rto = self.params.pipe_rto_us
-        try:
-            while flow.window.in_flight:
-                yield self.env.timeout(rto)
-                if not flow.window.in_flight:
-                    break
-                # Check our own FIFO first: the ack may already be here.
-                yield from self.dispatch("user")
-                if not flow.window.in_flight:
-                    break
-                if self.env.now - flow.last_progress < rto:
-                    continue
-                oldest = flow.window.oldest_unacked()
-                if oldest is None:
-                    break
-                _seq, (header, payload) = oldest
-                self.stats.retransmissions += 1
-                yield from self.cpu.execute("user", self.params.pipe_pkt_us)
-                yield from self.hal.send("user", dst, header, payload)
-                flow.last_progress = self.env.now
-                rto = min(rto * 2, self.params.pipe_rto_us * 16)
-        finally:
-            flow.rto_alive = False
+            yield from self.flows.transmit(
+                thread, dst, header, payload,
+                on_dma_done=on_payload_out if idx == last_idx else None)
 
     # ---------------------------------------------------------- receiving
     def dispatch(self, thread: str) -> Generator:
@@ -244,7 +176,7 @@ class PipeEndpoint:
                 yield from self.hal.charge_recv(thread)
                 kind = pkt.header.get("kind")
                 if kind == _ACK:
-                    self._handle_ack(pkt.src, pkt.header["cum"])
+                    self.flows.on_ack(pkt.src, pkt.header["cum"])
                 elif kind == _DATA:
                     yield from self._handle_data(
                         thread, pkt.src, pkt.header, pkt.payload)
@@ -258,66 +190,23 @@ class PipeEndpoint:
                 if not ev.triggered:
                     ev.succeed()
 
-    def _handle_ack(self, src: int, cum: int) -> None:
-        flow = self._flow_tx(src)
-        freed = flow.window.on_ack(cum)
-        if freed:
-            self._g_inflight.add(-freed)
-            flow.last_progress = self.env.now
-            waiters, flow.waiters = flow.waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
-
     def _handle_data(
         self, thread: str, src: int, header: dict[str, Any], payload: bytes
     ) -> Generator:
-        flow = self._flow_rx(src)
         yield from self.cpu.execute(thread, self.params.pipe_pkt_us)
-        verdict = flow.ledger.accept(header["seq"])
-        if verdict == "dup":
-            # duplicate: re-ack immediately so the sender stops resending
-            yield from self._send_ack(thread, src, flow)
+        if not (yield from self.flows.accept(thread, src, header["seq"])):
             return
-        flow.since_ack += 1
         if header.get("buffered") and payload:
             # reordering copy HAL buffer -> pipe buffer
             self._m_reordered.incr(len(payload))
             yield from self.cpu.memcpy(thread, len(payload))
-        flow.stash[header["seq"]] = (header, payload)
+        order = self._order[src]
+        order.stash[header["seq"]] = (header, payload)
         # release the in-order prefix to MPCI
-        while flow.next_deliver in flow.stash:
-            hdr, data = flow.stash.pop(flow.next_deliver)
-            flow.next_deliver += 1
+        while order.next_deliver in order.stash:
+            hdr, data = order.stash.pop(order.next_deliver)
+            order.next_deliver += 1
             if self.on_packet is None:
                 raise RuntimeError("PipeEndpoint.on_packet not installed")
             yield from self.on_packet(thread, src, hdr, data)
-        if flow.since_ack >= self.params.pipe_ack_every:
-            yield from self._send_ack(thread, src, flow)
-        elif flow.since_ack > 0 and not flow.ack_timer_alive:
-            flow.ack_timer_alive = True
-            self.env.process(self._delayed_ack(src, flow), name=f"pipe.dack<-{src}")
-
-    def _delayed_ack(self, src: int, flow: _FlowRx) -> Generator:
-        """Flush a pending cumulative ack after the delayed-ack interval."""
-        try:
-            yield self.env.timeout(self.params.pipe_ack_delay_us)
-            if flow.since_ack > 0:
-                yield from self._send_ack("user", src, flow)
-        finally:
-            flow.ack_timer_alive = False
-
-    def _send_ack(self, thread: str, src: int, flow: _FlowRx) -> Generator:
-        flow.since_ack = 0
-        self.stats.acks_sent += 1
-        yield from self.hal.send(
-            thread, src, {"kind": _ACK, "cum": flow.ledger.cum_ack}, b""
-        )
-
-    # ------------------------------------------------------------------
-    def wait_rx(self) -> Event:
-        return self.hal.wait_rx()
-
-    @property
-    def rx_pending(self) -> int:
-        return self.hal.rx_pending
+        yield from self.flows.delivered(thread, src)

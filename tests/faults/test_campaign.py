@@ -63,6 +63,20 @@ def test_fault_counters_surface_in_cluster_snapshot():
     assert counters.get("fault.injected_drops", 0) > 0
 
 
+@pytest.mark.parametrize("stack,layer", (("native", "pipes"),
+                                         ("lapi-enhanced", "lapi")))
+def test_retransmissions_are_traced_by_the_owning_layer(stack, layer):
+    cluster, _, _ = run_workload("streaming", plan=builtin_plan("loss-burst"),
+                                 stack=stack, seed=0, trace=True)
+    assert quiesce(cluster) is not None
+    records = cluster.tracer.filter(event="retransmit")
+    retrans = sum(s.retransmissions for s in cluster.node_stats)
+    assert retrans > 0
+    assert len(records) == retrans
+    assert {r.layer for r in records} == {layer}
+    assert all({"dst", "seq"} <= set(r.fields) for r in records)
+
+
 def test_invariant_checker_flags_corruption():
     cluster, _, payload = run_workload("pingpong", plan=None, seed=0)
     quiesce(cluster)
@@ -70,19 +84,21 @@ def test_invariant_checker_flags_corruption():
     assert any("payload corruption" in v for v in violations)
 
 
-def test_invariant_checker_flags_stuck_state():
-    cluster, _, payload = run_workload("pingpong", plan=None, seed=0)
+@pytest.mark.parametrize("stack", ("native", "lapi-enhanced"))
+def test_invariant_checker_flags_stuck_state(stack):
+    cluster, _, payload = run_workload("pingpong", plan=None, stack=stack,
+                                       seed=0)
     quiesce(cluster)
     assert not check_invariants(cluster, payload, payload)
     # manufacture damage: a pending send that never completed and a
-    # sequence parked in a SenderWindow
+    # packet the reliable-flow engine numbered but nobody will ack
     cluster.backends[0].pending_sends["zombie"] = object()
-    lapi = next(l for l in cluster.lapis if l is not None)
-    flow = next(iter(lapi._flow_tx.values()))
-    flow.window.send("orphan-packet")
+    endpoint = (cluster.pipes if stack == "native" else cluster.lapis)[0]
+    list(endpoint.flows.admit("user", 1, {"seq": None}, b"orphan-packet"))
+    assert endpoint.flows.inflight().unacked == {1: 1}
     violations = check_invariants(cluster, payload, payload)
     assert any("sends stuck pending" in v for v in violations)
-    assert any("stuck in SenderWindow" in v for v in violations)
+    assert any("stuck in SenderWindow" in v for v in violations), violations
 
 
 @pytest.mark.parametrize("stack", ("native", "lapi-enhanced"))
@@ -106,6 +122,16 @@ def test_invariant_checker_flags_stranded_rma(stack):
     reply = ("RMA replies never delivered" if stack != "native"
              else "posted receives never matched")
     assert any(reply in v for v in violations), violations
+
+
+def test_cli_rejects_unknown_plan_and_stack(capsys):
+    from repro.faults.campaign import main
+
+    for argv in (["--plan", "nope"], ["--stack", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_streaming_recovers_from_reorder_storm():

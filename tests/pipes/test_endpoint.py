@@ -51,7 +51,7 @@ class Rig:
             ep = self.pipes[i]
             while True:
                 yield from ep.dispatch("user")
-                yield ep.wait_rx()
+                yield ep.hal.wait_rx()
 
         self.pollers[i] = self.env.process(poller(), name=f"poll{i}")
 
@@ -256,6 +256,6 @@ def test_acks_are_eventually_sent_and_window_drains():
 
     rig.env.process(sender())
     rig.env.run(until=1e6)
-    flow = rig.pipes[0]._tx[1]
-    assert flow.window.in_flight == 0, "delayed ack should have drained the window"
+    assert rig.pipes[0].flows.inflight().unacked == {}, \
+        "delayed ack should have drained the window"
     assert rig.stats[1].acks_sent >= 1
