@@ -1,12 +1,14 @@
 """Simulator-kernel micro-benchmark: events/sec, packets/sec, ns/event.
 
-Times the discrete-event kernel itself, not the modelled machine: four
+Times the discrete-event kernel itself, not the modelled machine: five
 workloads stress the paths the hot-path optimisation touched —
 
 - ``timeout_wheel``  — nonzero delays, pure heap scheduling;
 - ``event_chain``    — delay-0 timeouts, the deque fast path;
 - ``store_churn``    — producer/consumer resource ops (pooled events);
-- ``pingpong``       — the full LAPI/MPI stack, for packets/sec.
+- ``pingpong``       — the full LAPI/MPI stack, for packets/sec;
+- ``stream``         — back-to-back rendezvous messages, where the
+  adapter's per-packet stages dominate the event count.
 
 Every workload is deterministic: the *event count* and final *simulated
 time* must reproduce exactly between runs, rounds, and kernel versions
@@ -105,11 +107,33 @@ def wl_pingpong(reps: int = 30, msg_size: int = 4096,
     return env._seq, env.now, cluster.fabric.delivered
 
 
+def wl_stream(msgs: int = 4, msg_size: int = 64 * 1024,
+              stack: str = "lapi-enhanced"):
+    """Rank 0 streams rendezvous messages to rank 1; counts packets."""
+    from repro.cluster import SPCluster
+
+    cluster = SPCluster(2, stack=stack, seed=0)
+    payload = bytes(msg_size)
+
+    def program(comm, rank, size):
+        buf = bytearray(msg_size)
+        for _ in range(msgs):
+            if rank == 0:
+                yield from comm.send(payload, dest=1)
+            else:
+                yield from comm.recv(buf, source=0)
+
+    cluster.run(program)
+    env = cluster.env
+    return env._seq, env.now, cluster.fabric.delivered
+
+
 WORKLOADS = (
     ("timeout_wheel", wl_timeout_wheel),
     ("event_chain", wl_event_chain),
     ("store_churn", wl_store_churn),
     ("pingpong", wl_pingpong),
+    ("stream", wl_stream),
 )
 
 

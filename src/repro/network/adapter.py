@@ -2,13 +2,23 @@
 
 Send path (two-stage pipeline, so DMA overlaps link serialisation):
 
-    HAL --enqueue_send()--> send FIFO --[DMA engine]--> link queue
-        --[link engine: wire time]--> fabric.transmit()
+    HAL --enqueue_send()--> send FIFO --[DMA]--> link queue (2 slots)
+        --[wire time]--> fabric.transmit()
 
 Receive path:
 
-    fabric --_fabric_deliver()--> adapter SRAM queue --[recv DMA engine]-->
+    fabric --_fabric_deliver()--> adapter SRAM queue --[receive DMA]-->
         host receive FIFO (bounded; overflow drops) --> notification
+
+The three stages run in adapter hardware and use no host CPU, so they
+are not simulated processes: each is a plain queue plus one pending
+kernel callback (``_dma_done``, ``_wire_done``, ``_rx_dma_done``) that
+finishes the packet in service and starts the next queued one at the
+same instant.  A finished DMA whose link queue is full holds the DMA
+stage until the wire frees a slot, and a full send FIFO hands the
+sender a real event to wait on; a packet admitted at once gets an
+already-processed event, so the sender continues without a kernel
+round trip.
 
 Notification is either *polled* (``poll()`` / ``wait_rx()``) or
 *interrupt-driven*: when ``interrupt_mode`` is on and an ISR is
@@ -32,9 +42,12 @@ from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.network.fabric import SwitchFabric
 from repro.network.packet import Packet
-from repro.sim import Channel, Environment, Event, Store
+from repro.sim import Environment, Event
 
 __all__ = ["Adapter", "SendDescriptor"]
+
+#: packets the link queue holds behind the one on the wire
+LINK_SLOTS = 2
 
 
 class SendDescriptor:
@@ -67,15 +80,31 @@ class Adapter:
         #: squeeze events; installed by the cluster, ``None`` otherwise
         self.faults = None
 
+        # the registry counters behind the NodeStats facade, held directly
+        reg = stats.registry
+        self._c_sent = reg.counter("packets_sent")
+        self._c_wire_bytes = reg.counter("bytes_on_wire")
+        self._c_received = reg.counter("packets_received")
+        self._c_dropped = reg.counter("packets_dropped")
         # receive-FIFO occupancy high water: how close the node came to
         # the overflow drops the reliability layers must then repair
-        self._g_rx_depth = stats.registry.gauge("adapter.rx_fifo_depth")
+        self._g_rx_depth = reg.gauge("adapter.rx_fifo_depth")
 
-        self._send_fifo = Channel(env, params.adapter_send_fifo, name=f"a{node_id}.tx")
-        self._link_q = Channel(env, 2, name=f"a{node_id}.link")
-        self._sram_rx = Store(env, name=f"a{node_id}.sram")
+        # Stage queues; the head of each is the packet in service.  The
+        # send FIFO's head stays in place while its DMA'd packet is held
+        # for a link slot; senders beyond the FIFO wait in _blocked.
+        self._send_fifo: deque[SendDescriptor] = deque()
+        self._blocked: deque[tuple[Event, SendDescriptor]] = deque()
+        self._dma_held = False
+        self._link_q: deque[Packet] = deque()
+        self._sram_rx: deque[Packet] = deque()
         self._host_rx: deque[Packet] = deque()
         self._rx_waiters: list[Event] = []
+        # the admission event of every packet the FIFO takes at once:
+        # already processed, so yielding it resumes the sender in place
+        self._admitted = admitted = env.event()
+        admitted._triggered = admitted._processed = True
+        admitted.callbacks = None
 
         #: interrupt-driven receive notification
         self.interrupt_mode: bool = False
@@ -83,51 +112,84 @@ class Adapter:
         self._isr_active = False
 
         fabric.attach(self)
-        env.process(self._send_dma_engine(), name=f"a{node_id}.txdma")
-        env.process(self._link_engine(), name=f"a{node_id}.txlink")
-        env.process(self._recv_dma_engine(), name=f"a{node_id}.rxdma")
 
     # ------------------------------------------------------------- send
     def enqueue_send(self, packet: Packet, on_dma_done: Optional[Event] = None) -> Event:
         """Queue a packet for transmission.
 
-        Returns the (possibly blocking) FIFO-admission event; yield it to
-        respect adapter back-pressure.  ``on_dma_done`` is succeeded when
-        the payload has left host memory (origin-buffer reuse point).
+        Returns the FIFO-admission event; yield it to respect adapter
+        back-pressure (it is already processed unless the FIFO is full).
+        ``on_dma_done`` is succeeded when the payload has left host
+        memory (origin-buffer reuse point).
         """
         if packet.src != self.node_id:
             raise ValueError(f"packet src {packet.src} != adapter node {self.node_id}")
-        return self._send_fifo.put(SendDescriptor(packet, on_dma_done))
+        desc = SendDescriptor(packet, on_dma_done)
+        fifo = self._send_fifo
+        if len(fifo) > self.params.adapter_send_fifo:  # FIFO full behind DMA
+            ev = self.env.event()
+            self._blocked.append((ev, desc))
+            return ev
+        fifo.append(desc)
+        if len(fifo) == 1:
+            self._start_dma()
+        return self._admitted
 
-    def _send_dma_engine(self) -> Generator:
-        p = self.params
-        while True:
-            desc: SendDescriptor = yield self._send_fifo.get()
-            yield self.env.timeout(p.dma_cost(desc.packet.wire_bytes))
-            if desc.on_dma_done is not None and not desc.on_dma_done.triggered:
-                desc.on_dma_done.succeed()
-            yield self._link_q.put(desc.packet)
+    def _start_dma(self) -> None:
+        self.env.call_later(
+            self.params.dma_cost(self._send_fifo[0].packet.wire_bytes), self._dma_done)
 
-    def _link_engine(self) -> Generator:
-        p = self.params
-        while True:
-            packet: Packet = yield self._link_q.get()
-            yield self.env.timeout(p.wire_cost(packet.wire_bytes))
-            packet.route = self.fabric.pick_route(packet.src, packet.dst)
-            self.stats.packets_sent += 1
-            self.stats.bytes_on_wire += packet.wire_bytes
+    def _dma_done(self, _ev: Event) -> None:
+        done = self._send_fifo[0].on_dma_done
+        if done is not None and not done.triggered:
+            done.succeed()
+        if len(self._link_q) > LINK_SLOTS:
+            self._dma_held = True  # DMA stays occupied until a link slot frees
+        else:
+            self._release_dma()
+
+    def _release_dma(self) -> None:
+        """Move the DMA'd packet to the link queue and start the next DMA."""
+        fifo, link = self._send_fifo, self._link_q
+        link.append(fifo.popleft().packet)
+        if len(link) == 1:
+            self._start_wire()
+        if self._blocked:
+            ev, desc = self._blocked.popleft()
+            fifo.append(desc)
+            ev.succeed()
+        if fifo:
+            self._start_dma()
+
+    def _start_wire(self) -> None:
+        self.env.call_later(
+            self.params.wire_cost(self._link_q[0].wire_bytes), self._wire_done)
+
+    def _wire_done(self, _ev: Event) -> None:
+        packet: Packet = self._link_q.popleft()
+        packet.route = self.fabric.pick_route(packet.src, packet.dst)
+        self._c_sent.incr()
+        self._c_wire_bytes.incr(packet.wire_bytes)
+        if self.stats.tracer is not None:
             self.stats.trace(
                 "adapter", "pkt_tx", dst=packet.dst, route=packet.route,
                 kind=packet.header.get("kind"), seq=packet.header.get("seq"),
                 bytes=packet.wire_bytes, msg=packet.header.get("msg"),
                 fid=packet.header.get("fid"), mid=packet.header.get("mid"),
             )
-            self.fabric.transmit(packet)
+        self.fabric.transmit(packet)
+        if self._link_q:
+            self._start_wire()
+        if self._dma_held:
+            self._dma_held = False
+            self._release_dma()
 
     # ---------------------------------------------------------- receive
     def _fabric_deliver(self, packet: Packet) -> None:
         """Fabric hand-off: packet reached this adapter's SRAM."""
-        self._sram_rx.put(packet)
+        self._sram_rx.append(packet)
+        if len(self._sram_rx) == 1:
+            self._start_rx_dma()
 
     def _fifo_capacity(self) -> int:
         """Host receive-FIFO capacity right now (fault squeeze aware)."""
@@ -136,29 +198,35 @@ class Adapter:
             cap = self.faults.fifo_capacity(cap, self.env.now)
         return cap
 
-    def _recv_dma_engine(self) -> Generator:
-        p = self.params
-        while True:
-            packet: Packet = yield self._sram_rx.get()
-            yield self.env.timeout(p.dma_cost(packet.wire_bytes))
-            if len(self._host_rx) >= self._fifo_capacity():
-                # Host FIFO overflow: the adapter drops; reliability
-                # layers above recover via retransmission.
-                self.stats.packets_dropped += 1
+    def _start_rx_dma(self) -> None:
+        self.env.call_later(
+            self.params.dma_cost(self._sram_rx[0].wire_bytes), self._rx_dma_done)
+
+    def _rx_dma_done(self, _ev: Event) -> None:
+        packet: Packet = self._sram_rx.popleft()
+        tracer = self.stats.tracer
+        if len(self._host_rx) >= self._fifo_capacity():
+            # Host FIFO overflow: the adapter drops; reliability
+            # layers above recover via retransmission.
+            self._c_dropped.incr()
+            if tracer is not None:
                 self.stats.trace("adapter", "fifo_drop", src=packet.src,
                                  seq=packet.header.get("seq"),
                                  mid=packet.header.get("mid"))
-                continue
+        else:
             self._host_rx.append(packet)
             self._g_rx_depth.set(len(self._host_rx))
-            self.stats.packets_received += 1
-            self.stats.trace(
-                "adapter", "pkt_rx", src=packet.src,
-                kind=packet.header.get("kind"), seq=packet.header.get("seq"),
-                msg=packet.header.get("msg"), fid=packet.header.get("fid"),
-                mid=packet.header.get("mid"),
-            )
+            self._c_received.incr()
+            if tracer is not None:
+                self.stats.trace(
+                    "adapter", "pkt_rx", src=packet.src,
+                    kind=packet.header.get("kind"), seq=packet.header.get("seq"),
+                    msg=packet.header.get("msg"), fid=packet.header.get("fid"),
+                    mid=packet.header.get("mid"),
+                )
             self._notify_rx()
+        if self._sram_rx:
+            self._start_rx_dma()
 
     def _notify_rx(self) -> None:
         waiters, self._rx_waiters = self._rx_waiters, []

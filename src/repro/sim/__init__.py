@@ -26,12 +26,11 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Channel, Mutex, Store
+from repro.sim.resources import Mutex, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Channel",
     "Environment",
     "Event",
     "Interrupt",

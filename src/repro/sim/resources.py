@@ -2,8 +2,6 @@
 
 - :class:`Mutex` — FIFO mutual exclusion (models a lock or a CPU core).
 - :class:`Store` — unbounded FIFO of items with blocking ``get``.
-- :class:`Channel` — bounded FIFO with blocking ``put`` and ``get``
-  (models hardware FIFOs with back-pressure).
 
 The operation events these return come from the environment's pooled
 free list (:meth:`Environment.auto_event`): yield them immediately and
@@ -17,7 +15,7 @@ from typing import Any, Deque
 
 from repro.sim.core import Environment, Event, SimulationError
 
-__all__ = ["Channel", "Mutex", "Store"]
+__all__ = ["Mutex", "Store"]
 
 
 class Mutex:
@@ -102,74 +100,3 @@ class Store:
     def peek_all(self) -> list[Any]:
         """Snapshot of queued items (for inspection/tests)."""
         return list(self._items)
-
-
-class Channel:
-    """Bounded FIFO with blocking put (back-pressure) and blocking get."""
-
-    def __init__(self, env: Environment, capacity: int, name: str = "channel"):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.env = env
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-        #: high-water mark of queued items (statistic)
-        self.max_occupancy = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def put(self, item: Any) -> Event:
-        ev = self.env.auto_event()
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns True if the item was accepted."""
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            return True
-        return False
-
-    def get(self) -> Event:
-        ev = self.env.auto_event()
-        if self._items:
-            item = self._items.popleft()
-            self._admit_waiting_putter()
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        if self._items:
-            item = self._items.popleft()
-            self._admit_waiting_putter()
-            return True, item
-        return False, None
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters:
-            put_ev, pending = self._putters.popleft()
-            self._items.append(pending)
-            self.max_occupancy = max(self.max_occupancy, len(self._items))
-            put_ev.succeed()

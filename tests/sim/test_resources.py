@@ -1,8 +1,8 @@
-"""Unit tests for Mutex / Store / Channel."""
+"""Unit tests for Mutex / Store."""
 
 import pytest
 
-from repro.sim import Channel, Environment, Mutex, SimulationError, Store
+from repro.sim import Environment, Mutex, SimulationError, Store
 
 
 # ---------------------------------------------------------------- Mutex
@@ -117,80 +117,3 @@ def test_store_try_get():
     st.put(7)
     assert st.try_get() == (True, 7)
     assert len(st) == 0
-
-
-# ---------------------------------------------------------------- Channel
-
-
-def test_channel_backpressure():
-    env = Environment()
-    ch = Channel(env, capacity=2)
-    log = []
-
-    def producer():
-        for i in range(4):
-            yield ch.put(i)
-            log.append(("put", i, env.now))
-
-    def consumer():
-        yield env.timeout(10.0)
-        while True:
-            v = yield ch.get()
-            log.append(("get", v, env.now))
-            if v == 3:
-                return
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    # puts 0 and 1 go immediately; 2 waits for the first get at t=10
-    assert ("put", 0, 0.0) in log
-    assert ("put", 1, 0.0) in log
-    put2 = [e for e in log if e[:2] == ("put", 2)][0]
-    assert put2[2] == 10.0
-    gets = [e[1] for e in log if e[0] == "get"]
-    assert gets == [0, 1, 2, 3]
-
-
-def test_channel_capacity_one_alternates():
-    env = Environment()
-    ch = Channel(env, capacity=1)
-    seen = []
-
-    def producer():
-        for i in range(3):
-            yield ch.put(i)
-
-    def consumer():
-        for _ in range(3):
-            v = yield ch.get()
-            seen.append(v)
-            yield env.timeout(1.0)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert seen == [0, 1, 2]
-
-
-def test_channel_try_put_and_try_get():
-    env = Environment()
-    ch = Channel(env, capacity=1)
-    assert ch.try_put("a")
-    assert not ch.try_put("b")
-    assert ch.try_get() == (True, "a")
-    assert ch.try_get() == (False, None)
-
-
-def test_channel_rejects_zero_capacity():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Channel(env, capacity=0)
-
-
-def test_channel_max_occupancy_statistic():
-    env = Environment()
-    ch = Channel(env, capacity=8)
-    for i in range(5):
-        assert ch.try_put(i)
-    assert ch.max_occupancy == 5
