@@ -122,7 +122,7 @@ class SPCluster:
             rng=self.streams.faults,
             metrics=self.metrics,
             tracer=self.tracer,
-            params=self.params,
+            base_loss_rate=self.params.packet_loss_rate,
         )
         fi = self.fault_injector
 
@@ -208,9 +208,9 @@ class SPCluster:
         for i in range(num_nodes):
             point = fi.point("dispatcher", node=i)
             if self.lapis[i] is not None:
-                self.lapis[i].faults = point
+                self.lapis[i].flows.faults = point
             if self.pipes[i] is not None:
-                self.pipes[i].faults = point
+                self.pipes[i].flows.faults = point
 
         if interrupt_mode:
             if stack == "raw-lapi":

@@ -8,17 +8,16 @@ asks for a bound :class:`FaultPoint` handle::
 
     fabric.faults     = injector.point("fabric")
     adapter.faults    = injector.point("adapter", node=i)
-    lapi.faults       = injector.point("dispatcher", node=i)
+    lapi.flows.faults = injector.point("dispatcher", node=i)
     cpu.faults        = injector.point("cpu", node=i)
 
 ``point`` returns ``None`` when the plan has nothing for that site
 (and, for the fabric, no base loss), so quiet configurations keep a
 single ``is None`` check on the hot path and draw no random numbers.
 
-The scalar ``packet_loss_rate`` knob from :class:`MachineParams` is
-now just a standing :class:`FaultPoint` verdict — fabrics built without
-an explicit injector derive one from their params, which keeps direct
-``SwitchFabric(env, params, rng=...)`` construction working unchanged.
+The scalar ``packet_loss_rate`` knob from :class:`MachineParams` is a
+static loss floor under the plan: the cluster and fabrics built without
+an explicit injector pass it as ``base_loss_rate`` when they are built.
 """
 
 from __future__ import annotations
@@ -79,18 +78,13 @@ class FaultInjector:
         metrics=None,
         tracer=None,
         base_loss_rate: float = 0.0,
-        params=None,
     ):
         if not (0.0 <= base_loss_rate < 1.0):
             raise ValueError("base_loss_rate must be in [0, 1)")
         self.plan = plan if plan is not None else FaultPlan()
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.tracer = tracer
-        #: when ``params`` is given, the standing loss floor is read live
-        #: from ``params.packet_loss_rate`` (tests heal fabrics mid-run by
-        #: mutating it); otherwise the static rate applies
-        self._params = params
-        self._static_loss_rate = base_loss_rate
+        self.base_loss_rate = base_loss_rate
         self._by_site = {site: self.plan.for_site(site) for site in SITES}
 
         self.metrics = metrics
@@ -107,12 +101,6 @@ class FaultInjector:
             self._c_squeezes = self._c_stalls = None
             self._c_storm = self._c_slow = None
 
-    @property
-    def base_loss_rate(self) -> float:
-        if self._params is not None:
-            return self._params.packet_loss_rate
-        return self._static_loss_rate
-
     # ------------------------------------------------------------- points
     def point(self, site: str, node: Optional[int] = None) -> Optional["FaultPoint"]:
         """A bound handle for ``site`` (on ``node``), or ``None`` when
@@ -120,10 +108,7 @@ class FaultInjector:
         ``faults is None`` fast path."""
         events = [e for e in self._by_site[site]
                   if node is None or e.matches_node(node)]
-        if site == "fabric" and (self._params is not None
-                                 or self._static_loss_rate > 0.0):
-            pass  # a live loss floor keeps the fabric point installed
-        elif not events:
+        if not events and not (site == "fabric" and self.base_loss_rate > 0.0):
             return None
         return FaultPoint(self, site, node, tuple(events))
 

@@ -23,7 +23,7 @@ from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.sim import AnyOf, Environment, Event, Store
-from repro.transport import ReliableFlows
+from repro.transport import ReliableFlows, wake_all
 
 __all__ = ["Lapi", "LapiError"]
 
@@ -136,9 +136,6 @@ class Lapi:
         self.task_id = task_id
         self.num_tasks = num_tasks
         self.enhanced = enhanced
-        #: fault hook (:class:`repro.faults.FaultPoint`) for dispatcher
-        #: stalls; installed by the cluster, ``None`` otherwise
-        self.faults = None
 
         self._handlers: dict[str, Callable] = {}
         self._inline_always: set[str] = set()
@@ -180,9 +177,12 @@ class Lapi:
         self._m_rmw = self.metrics.counter("lapi.rmw")
         self._m_dispatch = self.metrics.counter("lapi.dispatch_pkts")
         self.flows = ReliableFlows(
-            self, layer="lapi", ack_kind=_ACK,
+            self, layer="lapi", data_kind=_DATA, ack_kind=_ACK,
+            deliver=self._deliver, after_ack=self._wake_quiesced,
+            pkt_counter=self._m_dispatch, error=LapiError,
             window_pkts=params.lapi_window_pkts, rto_us=params.lapi_rto_us,
-            pkt_us=params.lapi_tx_pkt_us, ack_every=params.lapi_ack_every,
+            pkt_us=params.lapi_tx_pkt_us, rx_pkt_us=params.lapi_dispatch_us,
+            ack_every=params.lapi_ack_every,
             ack_delay_us=params.lapi_ack_delay_us)
 
         self._register_internal_handlers()
@@ -470,30 +470,32 @@ class Lapi:
         """
         self._check_not_in_header_handler("LAPI_Waitcntr")
         yield from self.cpu.execute(thread, self.params.lapi_param_check_us)
-        while cntr.value < val:
+        yield from self.poll_until(thread, lambda: cntr.value >= val,
+                                   cntr.changed)
+        cntr.sub(val)
+
+    def poll_until(self, thread: str, done: Callable[[], bool],
+                   wake: Callable[[], Event]) -> Generator:
+        """Poll until ``done()``: drain while packets are pending, else
+        pay one poll check and sleep until a packet or ``wake()``."""
+        while not done():
             if self.hal.rx_pending:
                 yield from self.dispatch(thread)
                 continue
             self.stats.polls += 1
             yield from self.cpu.execute(thread, self.params.poll_check_us)
-            if cntr.value >= val:
+            if done():
                 break
             if self.hal.rx_pending:
                 continue
-            yield AnyOf(self.env, [self.hal.wait_rx(), cntr.changed()])
-        cntr.sub(val)
+            yield AnyOf(self.env, [self.hal.wait_rx(), wake()])
 
     def fence(self, thread: str) -> Generator:
         """LAPI_Fence: wait until all messages this task initiated have
         been delivered (transport-acknowledged) at their targets."""
         self._check_not_in_header_handler("LAPI_Fence")
-        while not self._quiesced():
-            yield from self.dispatch(thread)
-            if self._quiesced():
-                break
-            ev = self.env.event()
-            self._quiesce_waiters.append(ev)
-            yield AnyOf(self.env, [self.hal.wait_rx(), ev])
+        yield from self.flows.dispatch_until(thread, self._quiesced,
+                                             self._quiesce_waiters)
 
     def gfence(self, thread: str) -> Generator:
         """LAPI_Gfence: global fence — local fence + dissemination barrier."""
@@ -506,11 +508,8 @@ class Lapi:
                     thread, t, "_lapi_gfence", {"epoch": epoch, "origin": self.task_id}
                 )
         seen = self._gfence_seen.setdefault(epoch, set())
-        while len(seen) < self.num_tasks - 1:
-            yield from self.dispatch(thread)
-            if len(seen) >= self.num_tasks - 1:
-                break
-            yield self.hal.wait_rx()
+        yield from self.flows.dispatch_until(
+            thread, lambda: len(seen) >= self.num_tasks - 1)
         del self._gfence_seen[epoch]
 
     def _quiesced(self) -> bool:
@@ -576,47 +575,24 @@ class Lapi:
         each packet exactly once, and no per-packet state is shared
         across a yield point.  Returns the number of packets processed.
         """
-        if self.faults is not None:
-            stall = self.faults.stall_us(self.env.now)
-            if stall > 0.0:
-                yield from self.cpu.execute(thread, stall)
-        processed = 0
-        while True:
-            pkt = self.hal.poll()
-            if pkt is None:
-                return processed
-            processed += 1
-            self._m_dispatch.incr()
-            yield from self.hal.charge_recv(thread)
-            kind = pkt.header.get("kind")
-            if kind == _ACK:
-                self._handle_ack(pkt.src, pkt.header["cum"])
-            elif kind == _DATA:
-                yield from self._handle_data(thread, pkt.src, pkt.header, pkt.payload)
-            else:
-                raise LapiError(f"LAPI got foreign packet kind {kind!r}")
+        yield from self.flows.stall(thread)
+        return (yield from self.flows.drain(thread))
 
     def _isr(self) -> Generator:
         """Interrupt service routine: plain drain, **no hysteresis** —
         the paper credits LAPI's good interrupt-mode latency to this."""
         yield from self.dispatch(f"irq{self.task_id}")
 
-    def _handle_ack(self, src: int, cum: int) -> None:
-        self.flows.on_ack(src, cum)
+    def _wake_quiesced(self) -> None:
         if self._quiesced():
-            waiters, self._quiesce_waiters = self._quiesce_waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
+            wake_all(self._quiesce_waiters)
 
-    def _handle_data(
+    def _deliver(
         self, thread: str, src: int, header: dict[str, Any], payload: bytes
     ) -> Generator:
+        """Assemble a new packet by offset; run the header handler on the
+        first packet and the completion machinery on the last."""
         p = self.params
-        yield from self.cpu.execute(thread, p.lapi_dispatch_us)
-        if not (yield from self.flows.accept(thread, src, header["seq"])):
-            return
-
         key = (src, header["msg"])
         asm = self._assemblies.get(key)
         if asm is None:
@@ -668,8 +644,6 @@ class Lapi:
             asm.done = True
             del self._assemblies[key]
             yield from self._complete(thread, asm)
-
-        yield from self.flows.delivered(thread, src)
 
     def _assemble(self, thread: str, asm: _Assembly, off: int, data: bytes) -> Generator:
         """Move one chunk HAL buffer -> target (the single MPI-LAPI copy)."""

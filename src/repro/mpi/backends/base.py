@@ -402,13 +402,13 @@ class Backend:
     # ------------------------------------------------------ wait loop
     def wait(self, thread: str, req: Request) -> Generator:
         """Drive progress until ``req`` completes (polling discipline)."""
-        yield from self._poll_until(
+        yield from self.poll_until(
             thread, lambda: req.done or req.needs_finalize, req.changed)
         if req.needs_finalize:
             yield from req.run_finalizer(thread)
         return req.status
 
-    def _poll_until(self, thread: str, done, wake) -> Generator:
+    def poll_until(self, thread: str, done, wake) -> Generator:
         """Make progress until ``done()``; after a pass that found nothing,
         pay one poll check, then sleep until a packet or ``wake()``."""
         while not done():

@@ -209,7 +209,7 @@ class LapiBackend(Backend):
             ps.waiter = self.env.event()
             return ps.waiter
 
-        yield from self._poll_until(thread, lambda: ps.acked, wake)
+        yield from self.poll_until(thread, lambda: ps.acked, wake)
 
     def _launch_rdata(self, thread: str, ps: PendingSend) -> Generator:
         """Second rendezvous phase: ship the message like an eager send."""

@@ -840,18 +840,7 @@ class LapiRmaEngine(_Transport):
         """Drive the dispatcher until ``cond()`` holds (LAPI_Waitcntr
         discipline: works in polling mode, and in interrupt mode via
         the window wake events the ISR-run handlers fire)."""
-        lapi = self.lapi
-        while not cond():
-            if lapi.hal.rx_pending:
-                yield from lapi.dispatch("user")
-                continue
-            self.stats.polls += 1
-            yield from self.cpu.execute("user", self.params.poll_check_us)
-            if cond():
-                break
-            if lapi.hal.rx_pending:
-                continue
-            yield AnyOf(self.env, [lapi.hal.wait_rx(), win.sync_event()])
+        yield from self.lapi.poll_until("user", cond, win.sync_event)
 
     def _flush_deferred(self, win: Window, t: int,
                         hold_last: bool = False):
@@ -1345,18 +1334,8 @@ class NativeRmaEngine(_Transport):
         yield from win.tx.comm.wait(rreq)
 
     def wait_until(self, win: Window, cond) -> Generator:
-        be = self.backend
-        while not cond():
-            progressed = yield from be.progress("user")
-            if cond():
-                break
-            if progressed:
-                continue
-            self.stats.polls += 1
-            yield from self.cpu.execute("user", self.params.poll_check_us)
-            if cond():
-                break
-            yield AnyOf(self.env, [be.wait_rx(), win.sync_event()])
+        """The MPI wait loop, woken by the window's sync events too."""
+        yield from self.backend.poll_until("user", cond, win.sync_event)
 
     # ----------------------------------------------- per-window state
     def open(self, win: Window) -> Generator:

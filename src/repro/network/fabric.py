@@ -8,7 +8,7 @@ ones when the skew/jitter exceeds the inter-packet serialisation gap.
 
 Faults (loss, duplication, reorder storms) are injected through an
 optional :class:`repro.faults.FaultPoint`; a fabric built without one
-derives a standing loss point from ``params.packet_loss_rate``, so the
+derives a static loss point from ``params.packet_loss_rate``, so the
 scalar knob keeps working for directly constructed fabrics.
 
 The fabric owns no CPU time; link serialisation happens in the sending
@@ -52,9 +52,11 @@ class SwitchFabric:
         if faults is None:
             from repro.faults.points import FaultInjector
 
-            # standing loss point reading params.packet_loss_rate live
-            # (drawing from the fabric rng, in the pre-FaultPoint order)
-            self.faults = FaultInjector(rng=self.rng, params=params).point("fabric")
+            # static loss point (``None`` when the rate is 0), drawing
+            # from the fabric rng in the pre-FaultPoint order
+            self.faults = FaultInjector(
+                rng=self.rng, base_loss_rate=params.packet_loss_rate,
+            ).point("fabric")
         self._adapters: dict[int, "Adapter"] = {}
         #: per-destination arrival callbacks (built in attach) so transmit
         #: allocates no closure per packet
@@ -107,12 +109,7 @@ class SwitchFabric:
         p = self.params
         copies, extras = 1, ()
         faults = self.faults
-        # The standing loss point derived from params has no plan events;
-        # skip the whole verdict call while its live-read loss floor is
-        # zero (a mid-run heal/hurt through params still takes effect, and
-        # lossy configs keep the exact pre-existing draw order).
-        if faults is not None and (faults.events
-                                   or faults.injector.base_loss_rate != 0.0):
+        if faults is not None:
             verdict = faults.on_packet(packet, self.env.now)
             if verdict is not None:
                 if verdict.copies == 0:

@@ -78,8 +78,10 @@ class StagedFabric:
         if faults is None:
             from repro.faults.points import FaultInjector
 
-            # standing loss point reading params.packet_loss_rate live
-            self.faults = FaultInjector(rng=self.rng, params=params).point("fabric")
+            # static loss point, ``None`` when the rate is 0
+            self.faults = FaultInjector(
+                rng=self.rng, base_loss_rate=params.packet_loss_rate,
+            ).point("fabric")
         self._adapters: dict[int, "Adapter"] = {}
         #: per-destination arrival callbacks (built in attach), as on
         #: SwitchFabric: no closure allocation per packet
@@ -137,9 +139,7 @@ class StagedFabric:
         p = self.params
         copies, extras = 1, ()
         faults = self.faults
-        # same draw-free quiet path as SwitchFabric.transmit
-        if faults is not None and (faults.events
-                                   or faults.injector.base_loss_rate != 0.0):
+        if faults is not None:
             verdict = faults.on_packet(packet, self.env.now)
             if verdict is not None:
                 if verdict.copies == 0:

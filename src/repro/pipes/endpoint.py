@@ -1,7 +1,7 @@
 """The per-node Pipes endpoint: framing, staging copies, in-order delivery.
 
-Windows, acks and retransmission are the shared
-:class:`repro.transport.ReliableFlows` engine's.
+Windows, acks, retransmission and the drain of the adapter FIFO are the
+shared :class:`repro.transport.ReliableFlows` engine's.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
 from repro.sim import Environment, Event
-from repro.transport import ReliableFlows
+from repro.transport import ReliableFlows, wake_all
 
 __all__ = ["PipeEndpoint"]
 
@@ -60,9 +60,6 @@ class PipeEndpoint:
         # dispatch serialization: see :meth:`dispatch`
         self._dispatching = False
         self._dispatch_waiters: list[Event] = []
-        #: fault hook (:class:`repro.faults.FaultPoint`) for dispatcher
-        #: stalls; installed by the cluster, ``None`` otherwise
-        self.faults = None
         # observability: the staging/reorder copies are what the paper's
         # Fig 11/12 argument charges the native stack for
         self.metrics = stats.registry
@@ -70,9 +67,11 @@ class PipeEndpoint:
         self._m_staged = self.metrics.counter("pipes.bytes_staged")
         self._m_reordered = self.metrics.counter("pipes.bytes_reordered")
         self.flows = ReliableFlows(
-            self, layer="pipes", ack_kind=_ACK,
+            self, layer="pipes", data_kind=_DATA, ack_kind=_ACK,
+            deliver=self._deliver,
             window_pkts=params.pipe_window_pkts, rto_us=params.pipe_rto_us,
-            pkt_us=params.pipe_pkt_us, ack_every=params.pipe_ack_every,
+            pkt_us=params.pipe_pkt_us, rx_pkt_us=params.pipe_pkt_us,
+            ack_every=params.pipe_ack_every,
             ack_delay_us=params.pipe_ack_delay_us)
 
     @property
@@ -158,10 +157,7 @@ class PipeEndpoint:
         arrived meanwhile were consumed by the active drain's loop, or
         will wake the caller's own wait loop again).
         """
-        if self.faults is not None:
-            stall = self.faults.stall_us(self.env.now)
-            if stall > 0.0:
-                yield from self.cpu.execute(thread, stall)
+        yield from self.flows.stall(thread)
         if self._dispatching:
             ev = self.env.event()
             self._dispatch_waiters.append(ev)
@@ -169,44 +165,24 @@ class PipeEndpoint:
             return
         self._dispatching = True
         try:
-            while True:
-                pkt = self.hal.poll()
-                if pkt is None:
-                    return
-                yield from self.hal.charge_recv(thread)
-                kind = pkt.header.get("kind")
-                if kind == _ACK:
-                    self.flows.on_ack(pkt.src, pkt.header["cum"])
-                elif kind == _DATA:
-                    yield from self._handle_data(
-                        thread, pkt.src, pkt.header, pkt.payload)
-                else:
-                    raise RuntimeError(
-                        f"pipe endpoint got foreign packet kind {kind!r}")
+            yield from self.flows.drain(thread)
         finally:
             self._dispatching = False
-            waiters, self._dispatch_waiters = self._dispatch_waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
+            wake_all(self._dispatch_waiters)
 
-    def _handle_data(
+    def _deliver(
         self, thread: str, src: int, header: dict[str, Any], payload: bytes
     ) -> Generator:
-        yield from self.cpu.execute(thread, self.params.pipe_pkt_us)
-        if not (yield from self.flows.accept(thread, src, header["seq"])):
-            return
+        """Stash a new packet and release the in-order prefix to MPCI."""
         if header.get("buffered") and payload:
             # reordering copy HAL buffer -> pipe buffer
             self._m_reordered.incr(len(payload))
             yield from self.cpu.memcpy(thread, len(payload))
         order = self._order[src]
         order.stash[header["seq"]] = (header, payload)
-        # release the in-order prefix to MPCI
         while order.next_deliver in order.stash:
             hdr, data = order.stash.pop(order.next_deliver)
             order.next_deliver += 1
             if self.on_packet is None:
                 raise RuntimeError("PipeEndpoint.on_packet not installed")
             yield from self.on_packet(thread, src, hdr, data)
-        yield from self.flows.delivered(thread, src)

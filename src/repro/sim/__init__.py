@@ -26,7 +26,7 @@ from repro.sim.core import (
     SimulationError,
     Timeout,
 )
-from repro.sim.resources import Mutex, Store
+from repro.sim.resources import Store
 
 __all__ = [
     "AllOf",
@@ -34,7 +34,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "Mutex",
     "Process",
     "SimulationError",
     "Store",

@@ -1,9 +1,7 @@
-"""Waitable resources built on the event kernel.
+"""A waitable resource built on the event kernel.
 
-- :class:`Mutex` — FIFO mutual exclusion (models a lock or a CPU core).
-- :class:`Store` — unbounded FIFO of items with blocking ``get``.
-
-The operation events these return come from the environment's pooled
+:class:`Store` is an unbounded FIFO of items with blocking ``get``.
+The events its ``get`` returns come from the environment's pooled
 free list (:meth:`Environment.auto_event`): yield them immediately and
 do not read their state after they fire — the run loop recycles them.
 """
@@ -13,52 +11,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import Environment, Event
 
-__all__ = ["Mutex", "Store"]
-
-
-class Mutex:
-    """FIFO mutex.  ``yield mutex.acquire()`` then ``mutex.release()``."""
-
-    def __init__(self, env: Environment, name: str = "mutex"):
-        self.env = env
-        self.name = name
-        self._locked = False
-        self._waiters: Deque[Event] = deque()
-        #: total number of acquisitions (statistic)
-        self.acquisitions = 0
-
-    @property
-    def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        ev = self.env.auto_event()
-        if not self._locked:
-            self._locked = True
-            self.acquisitions += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns True on success."""
-        if self._locked:
-            return False
-        self._locked = True
-        self.acquisitions += 1
-        return True
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"{self.name}: release of unlocked mutex")
-        if self._waiters:
-            self.acquisitions += 1
-            self._waiters.popleft().succeed()
-        else:
-            self._locked = False
+__all__ = ["Store"]
 
 
 class Store:
@@ -90,13 +45,3 @@ class Store:
         else:
             self._getters.append(ev)
         return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get; returns (ok, item)."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (for inspection/tests)."""
-        return list(self._items)

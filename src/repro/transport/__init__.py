@@ -7,12 +7,14 @@ retransmission, and receiver-side duplicate suppression that tolerates
 the fabric's out-of-order delivery.  :class:`SenderWindow` and
 :class:`ReceiverLedger` are the pure state machines (property-tested);
 :class:`ReliableFlows` is the simulation-bound engine each endpoint
-builds around them.  The *delivery discipline* differs (Pipes reorders
+builds around them; it also drains the adapter and runs the wait loops
+that drive progress.  The *delivery discipline* differs (Pipes reorders
 into a byte stream; LAPI delivers immediately and assembles by
-offset), so that part stays in each protocol.
+offset), so that part stays in each protocol as a ``deliver`` hook.
 """
 
-from repro.transport.flows import FlowsView, ReliableFlows
+from repro.transport.flows import FlowsView, ReliableFlows, wake_all
 from repro.transport.reliability import ReceiverLedger, SenderWindow
 
-__all__ = ["FlowsView", "ReceiverLedger", "ReliableFlows", "SenderWindow"]
+__all__ = ["FlowsView", "ReceiverLedger", "ReliableFlows", "SenderWindow",
+           "wake_all"]

@@ -1,22 +1,33 @@
 """The reliable-flow engine shared by Pipes and LAPI.
 
 A data packet goes out as ``admit`` (window stall, sequence number),
-the stack's per-packet charge, then ``transmit``; it comes in as the
-stack's charge, ``accept`` (duplicates are re-acked and dropped), the
-stack's delivery, then ``delivered`` (ack policy).  Acks go to
-``on_ack``.  The table of what the engine owns and what each stack
-keeps is in ``docs/PROTOCOLS.md`` §4.
+the stack's per-packet charge, then ``transmit``.  The receive side is
+all the engine's: ``drain`` pops every packet in the adapter FIFO,
+hands acks to ``on_ack`` and runs each data packet through the stack's
+per-packet charge, duplicate suppression (a duplicate is re-acked and
+dropped), the stack's ``deliver`` hook, then the ack policy.  The
+blocking paths that wait for the transport (``admit``, LAPI's fences)
+share ``dispatch_until``.  The table of what the engine owns and what
+each stack keeps is in ``docs/PROTOCOLS.md`` §4.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Generator, NamedTuple, Optional
+from typing import Any, Callable, Generator, NamedTuple, Optional
 
 from repro.sim import AnyOf, Event
 from repro.transport.reliability import ReceiverLedger, SenderWindow
 
-__all__ = ["FlowsView", "ReliableFlows"]
+__all__ = ["FlowsView", "ReliableFlows", "wake_all"]
+
+
+def wake_all(waiters: list[Event]) -> None:
+    """Fire every event parked in ``waiters`` and empty the list."""
+    for ev in waiters:
+        if not ev.triggered:
+            ev.succeed()
+    waiters.clear()
 
 
 class _Tx:
@@ -51,30 +62,47 @@ class FlowsView(NamedTuple):
 
 
 class ReliableFlows:
-    """Windows, acks and retransmission for every flow of one endpoint.
+    """Windows, acks, retransmission and the receive side for every flow
+    of one endpoint.
 
     ``owner`` is the endpoint (:class:`repro.lapi.Lapi` or
     :class:`repro.pipes.PipeEndpoint`): the engine charges its ``cpu``,
-    sends on its ``hal``, counts in its ``stats`` and drives its
-    ``dispatch`` while waiting for acks.  ``layer`` names the owner in
-    metrics and trace records; ``pkt_us`` is the CPU cost of resending
-    one packet.
+    sends and polls on its ``hal``, counts in its ``stats`` and drives
+    its ``dispatch`` while waiting.  ``layer`` names the owner in
+    metrics, trace records and errors; packets of ``data_kind`` go to
+    ``deliver(thread, src, header, payload)`` (a generator) after
+    ``rx_pkt_us`` of CPU and duplicate suppression; ``pkt_us`` is the
+    CPU cost of resending one packet.  ``after_ack()`` runs after every
+    ack, ``pkt_counter`` (if given) counts every popped packet, and a
+    packet of any other kind raises ``error``.
     """
 
-    def __init__(self, owner, *, layer: str, ack_kind: str,
-                 window_pkts: int, rto_us: float, pkt_us: float,
-                 ack_every: int, ack_delay_us: float):
+    def __init__(self, owner, *, layer: str, data_kind: str, ack_kind: str,
+                 deliver: Callable[..., Generator], window_pkts: int,
+                 rto_us: float, pkt_us: float, rx_pkt_us: float,
+                 ack_every: int, ack_delay_us: float,
+                 after_ack: Optional[Callable[[], None]] = None,
+                 pkt_counter=None, error: type[Exception] = RuntimeError):
         self.owner = owner
         self.env = owner.env
         self.cpu = owner.cpu
         self.hal = owner.hal
         self.stats = owner.stats
         self.layer = layer
+        self.data_kind = data_kind
         self.ack_kind = ack_kind
+        self.deliver = deliver
+        self.after_ack = after_ack
+        self.pkt_counter = pkt_counter
+        self.error = error
         self.rto_us = rto_us
         self.pkt_us = pkt_us
+        self.rx_pkt_us = rx_pkt_us
         self.ack_every = ack_every
         self.ack_delay_us = ack_delay_us
+        #: fault hook (:class:`repro.faults.FaultPoint`) for dispatcher
+        #: stalls; installed by the cluster, ``None`` otherwise
+        self.faults = None
         self._tx: dict[int, _Tx] = defaultdict(lambda: _Tx(window_pkts))
         self._rx: dict[int, _Rx] = defaultdict(_Rx)
         self._g_inflight = self.stats.registry.gauge(f"{layer}.pkts_in_flight")
@@ -88,24 +116,36 @@ class ReliableFlows:
                   if f.ledger.gap_count},
         )
 
+    # ------------------------------------------------------------ waiting
+    def dispatch_until(self, thread: str, done: Callable[[], bool],
+                       waiters: Optional[list[Event]] = None) -> Generator:
+        """Drive the owner's ``dispatch`` until ``done()``.  Between
+        passes park on the adapter FIFO and, if ``waiters`` is given, on
+        a fresh event in it: a concurrent dispatcher (MPCI poller, ISR)
+        may pop the packet that settles ``done()`` before we wake, in
+        which case no further rx ever arrives here."""
+        while not done():
+            yield from self.owner.dispatch(thread)
+            if done():
+                return
+            if waiters is None:
+                yield self.hal.wait_rx()
+            else:
+                ev = self.env.event()
+                waiters.append(ev)
+                yield AnyOf(self.env, [ev, self.hal.wait_rx()])
+
+    # ------------------------------------------------------------ sending
     def admit(self, thread: str, dst: int, header: dict[str, Any],
               payload) -> Generator:
         """Wait for room in the window to ``dst``, then number the packet
-        (``header["seq"]``) and keep it for retransmission."""
+        (``header["seq"]``) and keep it for retransmission.  Stalled,
+        it makes progress: acks may be sitting in our own adapter FIFO,
+        and polling-mode MPI advances the protocol from blocking calls."""
         flow = self._tx[dst]
-        while not flow.window.can_send:
-            # Make progress while stalled: acks may be sitting in our own
-            # adapter FIFO — polling-mode MPI advances the protocol from
-            # inside blocking calls.
-            yield from self.owner.dispatch(thread)
-            if flow.window.can_send:
-                break
-            # Wait on the window as well as the FIFO: a concurrent
-            # dispatcher (MPCI poller, ISR) may pop the ack before we
-            # wake, in which case no further rx ever arrives here.
-            waiter = self.env.event()
-            flow.waiters.append(waiter)
-            yield AnyOf(self.env, [waiter, self.hal.wait_rx()])
+        if not flow.window.can_send:  # the common case builds no wait loop
+            yield from self.dispatch_until(
+                thread, lambda: flow.window.can_send, flow.waiters)
         header["seq"] = flow.window.send((header, payload))
         self._g_inflight.add(1)
 
@@ -146,40 +186,66 @@ class ReliableFlows:
 
     def on_ack(self, src: int, cum: int) -> None:
         """Apply a cumulative ack from ``src``: free the window, wake
-        anyone stalled on it."""
+        anyone stalled on it, then run the owner's ``after_ack``."""
         flow = self._tx[src]
         freed = flow.window.on_ack(cum)
         if freed:
             self._g_inflight.add(-freed)
             flow.last_progress = self.env.now
-            waiters, flow.waiters = flow.waiters, []
-            for ev in waiters:
-                if not ev.triggered:
-                    ev.succeed()
+            wake_all(flow.waiters)
+        if self.after_ack is not None:
+            self.after_ack()
 
-    def accept(self, thread: str, src: int, seq: int) -> Generator:
-        """Classify an arriving data packet; returns True if it is new.
+    # ---------------------------------------------------------- receiving
+    def stall(self, thread: str) -> Generator:
+        """Charge the dispatcher stall the fault plan injects now, if any."""
+        if self.faults is not None:
+            stall = self.faults.stall_us(self.env.now)
+            if stall > 0.0:
+                yield from self.cpu.execute(thread, stall)
 
-        A duplicate is acknowledged at once, so its sender stops
-        resending it, and must not be delivered.
+    def drain(self, thread: str) -> Generator:
+        """Process every packet in the adapter FIFO; returns how many
+        were popped.
+
+        Each pays the HAL receive charge.  A data packet then pays the
+        stack's ``rx_pkt_us``; a duplicate is re-acked at once (so its
+        sender stops resending it) and dropped, a new one goes to
+        ``deliver`` and then to the ack policy: ack after every
+        ``ack_every`` new packets from its source, else within
+        ``ack_delay_us`` of the first unacknowledged one.
         """
-        flow = self._rx[src]
-        if flow.ledger.accept(seq) == "dup":
-            yield from self._send_ack(thread, src, flow)
-            return False
-        flow.since_ack += 1
-        return True
-
-    def delivered(self, thread: str, src: int) -> Generator:
-        """Ack after every ``ack_every`` new packets from ``src``, else
-        within ``ack_delay_us`` of the first unacknowledged one."""
-        flow = self._rx[src]
-        if flow.since_ack >= self.ack_every:
-            yield from self._send_ack(thread, src, flow)
-        elif flow.since_ack > 0 and not flow.ack_timer_alive:
-            flow.ack_timer_alive = True
-            self.env.process(self._delayed_ack(src, flow),
-                             name=f"{self.layer}{self.hal.node_id}.dack<-{src}")
+        processed = 0
+        while True:
+            pkt = self.hal.poll()
+            if pkt is None:
+                return processed
+            processed += 1
+            if self.pkt_counter is not None:
+                self.pkt_counter.incr()
+            yield from self.hal.charge_recv(thread)
+            header, src = pkt.header, pkt.src
+            kind = header.get("kind")
+            if kind == self.ack_kind:
+                self.on_ack(src, header["cum"])
+                continue
+            if kind != self.data_kind:
+                raise self.error(
+                    f"{self.layer} got foreign packet kind {kind!r}")
+            yield from self.cpu.execute(thread, self.rx_pkt_us)
+            flow = self._rx[src]
+            if flow.ledger.accept(header["seq"]) == "dup":
+                yield from self._send_ack(thread, src, flow)
+                continue
+            flow.since_ack += 1
+            yield from self.deliver(thread, src, header, pkt.payload)
+            if flow.since_ack >= self.ack_every:
+                yield from self._send_ack(thread, src, flow)
+            elif flow.since_ack > 0 and not flow.ack_timer_alive:
+                flow.ack_timer_alive = True
+                self.env.process(
+                    self._delayed_ack(src, flow),
+                    name=f"{self.layer}{self.hal.node_id}.dack<-{src}")
 
     def _delayed_ack(self, src: int, flow: _Rx) -> Generator:
         try:

@@ -45,6 +45,24 @@ def test_soak_results_serialise(soak_results):
     assert "loss-burst" in doc
 
 
+def test_soak_matches_its_committed_baseline(soak_results):
+    """CI gates the full campaign the same way; a difference names the
+    cell and the fields that moved."""
+    import json
+    from pathlib import Path
+
+    from benchmarks.check_fault_baselines import compare_cells
+
+    path = (Path(__file__).resolve().parents[2]
+            / "benchmarks" / "baselines" / "faults" / "soak.json")
+    cur = json.loads(json.dumps([r.to_dict() for r in soak_results]))
+    assert compare_cells(json.loads(path.read_text()), cur) == []
+    cur[0]["retransmissions"] += 1
+    (line,) = compare_cells(json.loads(path.read_text()), cur)
+    assert line.startswith(f"{soak_results[0].plan}/{soak_results[0].workload}/")
+    assert "retransmissions" in line
+
+
 # ----------------------------------------------------- recovery machinery
 def test_faulted_payload_matches_reference():
     _, _, reference = run_workload("pingpong", plan=None, seed=3)

@@ -48,14 +48,6 @@ def test_base_loss_keeps_fabric_point_alive():
     assert quiet.point("fabric") is None
 
 
-def test_live_params_override_static_rate():
-    params = SimpleNamespace(packet_loss_rate=0.9)
-    inj = FaultInjector(rng=np.random.default_rng(0), params=params)
-    assert inj.base_loss_rate == 0.9
-    params.packet_loss_rate = 0.0  # heal mid-run, as the tests do
-    assert inj.base_loss_rate == 0.0
-
-
 # ---------------------------------------------------------------- verdicts
 def test_loss_burst_drops_inside_window_only():
     reg = MetricsRegistry()
@@ -133,12 +125,10 @@ def test_overlapping_events_take_worst_case():
 def test_inactive_plan_draws_no_randomness():
     """Armed-but-idle injection must not consume the RNG stream."""
     rng = np.random.default_rng(7)
-    # fabric point is None only with no fabric events, no loss floor,
-    # and no live params
+    # fabric point is None only with no fabric events and no loss floor
     assert FaultInjector(rng=rng).point("fabric") is None
-    params = SimpleNamespace(packet_loss_rate=0.0)
     point = FaultInjector(plan=FaultPlan("late", (LossBurst(1e9, 1.0),)),
-                          rng=rng, params=params).point("fabric")
+                          rng=rng).point("fabric")
     before = rng.bit_generator.state["state"]["state"]
     for _ in range(50):
         assert point.on_packet(_packet(), now=5.0) is None

@@ -156,6 +156,36 @@ def test_fence_waits_for_delivery():
     assert bytes(remote[:8]) == bytes([3]) * 8
 
 
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("size", [8, 1500, 5000])
+@pytest.mark.parametrize("n_puts", [1, 4, 9])
+def test_fence_returns_when_other_pollers_take_the_acks(n_puts, size, enhanced):
+    """Two pollers on the origin pop the acks, so the fence parks and no
+    packet ever arrives to wake it: the ack that quiesces the flows
+    must wake the fence itself."""
+    rig = LapiRig(2, enhanced=enhanced)
+    t0, t1 = rig.tasks
+    remote = bytearray(n_puts * size)
+    t1.address_init("r", remote)
+    fence_done = {}
+
+    def poller(task):
+        while True:
+            yield from task.dispatch("user")
+            yield task.hal.wait_rx()
+
+    def origin():
+        for i in range(n_puts):
+            yield from t0.put("user", 1, "r", i * size, bytes([i]) * size)
+        yield from t0.fence("user")
+        fence_done["t"] = rig.env.now
+
+    rig.run(origin(), poller(t0), poller(t0), poller(t1), until=1e6)
+    assert "t" in fence_done
+    # every put is delivered (in any order: LAPI does not order messages)
+    assert bytes(remote) == b"".join(bytes([i]) * size for i in range(n_puts))
+
+
 def test_gfence_synchronises_three_tasks():
     rig = LapiRig(3)
     order = []

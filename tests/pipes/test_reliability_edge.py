@@ -9,6 +9,8 @@ stack's own ``pipe_*`` / ``lapi_*`` machine parameters.
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, LossBurst
+from repro.lapi import LapiError
 from tests.lapi.conftest import LapiRig
 from tests.pipes.test_endpoint import Rig, frame_bytes
 
@@ -91,16 +93,18 @@ stacks = pytest.mark.parametrize("stack", ("pipes", "lapi"))
 @stacks
 def test_total_blackhole_then_recovery_via_rto(stack):
     """Every first-transmission packet is lost; only retransmissions
-    get through (loss is turned off mid-flight by swapping the rate)."""
-    side = make_side(stack, seed=1, packet_payload=512, packet_loss_rate=0.999)
+    get through (the fabric drops everything for the first 1000 us)."""
+    side = make_side(stack, seed=1, packet_payload=512)
+    fabric = side.rig.fabric
+    blackhole = FaultPlan("blackhole", (LossBurst(0.0, 1000.0, rate=1.0),))
+    fabric.faults = FaultInjector(plan=blackhole,
+                                  rng=fabric.rng).point("fabric")
     side.run_poller(1)
     data = b"r" * 1500  # 3 packets
 
     def sender():
         yield from side.send(data)
-        # after the first transmissions are gone, heal the fabric
         yield side.env.timeout(1000.0)
-        side.params.packet_loss_rate = 0.0
         # drive retransmission progress from this side
         while side.deliveries() < 3 and side.env.now < 1e6:
             yield from side.endpoints[0].dispatch("user")
@@ -111,6 +115,25 @@ def test_total_blackhole_then_recovery_via_rto(stack):
     assert side.received(1500) == data
     assert side.stats[0].retransmissions >= 1
     assert side.endpoints[0].flows.inflight() == ({}, {})
+
+
+@stacks
+def test_foreign_packet_kind_raises_the_stacks_error(stack):
+    """A packet of the other stack's kind reaching a dispatcher is a
+    wiring bug, reported in the receiving stack's own error class."""
+    side = make_side(stack)
+    foreign, error = {"pipes": ("lapi", RuntimeError),
+                      "lapi": ("pipe", LapiError)}[stack]
+
+    def proc():
+        yield from side.endpoints[0].hal.send("user", 1, {"kind": foreign}, b"")
+        yield side.env.timeout(100.0)
+        yield from side.endpoints[1].dispatch("user")
+
+    side.env.process(proc())
+    with pytest.raises(error, match=f"foreign packet kind '{foreign}'") as info:
+        side.env.run(until=1e4)
+    assert type(info.value) is error
 
 
 @stacks
