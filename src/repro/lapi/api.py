@@ -317,8 +317,9 @@ class Lapi:
         yield from self.cpu.execute(thread, self.params.lapi_call_us)
         msg_no = next(self._msg_nos)
         self._m_amsend.incr()
-        self.stats.trace("lapi", "amsend", tgt=tgt, hh=hdr_hdl, msg=msg_no,
-                         bytes=len(udata), mid=mid, thr=thread)
+        if self.stats.tracer is not None:
+            self.stats.trace("lapi", "amsend", tgt=tgt, hh=hdr_hdl, msg=msg_no,
+                             bytes=len(udata), mid=mid, thr=thread)
         want_cmpl = cmpl_cntr is not None
         if want_cmpl:
             # origin-side registration so the _cmpl echo can find it
@@ -626,9 +627,10 @@ class Lapi:
             asm.cmpl_fn = cmpl_fn
             asm.cmpl_data = cmpl_data
             asm.cmpl_inline_always = header["hh"] in self._inline_always
-            self.stats.trace("lapi", "hdr_handler", hh=header["hh"], src=src,
-                             msg=header["msg"], mlen=asm.mlen, mid=asm.mid,
-                             thr=thread)
+            if self.stats.tracer is not None:
+                self.stats.trace("lapi", "hdr_handler", hh=header["hh"], src=src,
+                                 msg=header["msg"], mlen=asm.mlen, mid=asm.mid,
+                                 thr=thread)
             # flush chunks that raced ahead of the header packet
             for off, data in asm.stash:
                 yield from self._assemble(thread, asm, off, data)
@@ -654,20 +656,23 @@ class Lapi:
 
     def _complete(self, thread: str, asm: _Assembly) -> Generator:
         """Message fully assembled: run completion machinery."""
-        self.stats.trace("lapi", "msg_complete", src=asm.src, msg=asm.msg_no,
-                         bytes=asm.mlen, mid=asm.mid, thr=thread)
+        if self.stats.tracer is not None:
+            self.stats.trace("lapi", "msg_complete", src=asm.src, msg=asm.msg_no,
+                             bytes=asm.mlen, mid=asm.mid, thr=thread)
         if asm.cmpl_fn is not None:
             if self.enhanced or asm.cmpl_inline_always:
                 self.stats.cmpl_handlers_inline += 1
-                self.stats.trace("lapi", "cmpl_inline", msg=asm.msg_no,
-                                 mid=asm.mid, thr=thread)
+                if self.stats.tracer is not None:
+                    self.stats.trace("lapi", "cmpl_inline", msg=asm.msg_no,
+                                     mid=asm.mid, thr=thread)
                 yield from self.cpu.execute(thread, self.params.lapi_inline_cmpl_us)
                 yield from asm.cmpl_fn(self, thread, asm.cmpl_data)
                 yield from self._post_complete(thread, asm)
             else:
                 self.stats.cmpl_handlers_threaded += 1
-                self.stats.trace("lapi", "cmpl_queued_to_thread", msg=asm.msg_no,
-                                 mid=asm.mid, thr=thread)
+                if self.stats.tracer is not None:
+                    self.stats.trace("lapi", "cmpl_queued_to_thread", msg=asm.msg_no,
+                                     mid=asm.mid, thr=thread)
                 self._cmplq.put(asm)
         else:
             yield from self._post_complete(thread, asm)
@@ -679,16 +684,18 @@ class Lapi:
             asm: _Assembly = yield self._cmplq.get()
             # the context switch is charged by the CPU when this thread
             # name differs from the previous one
-            self.stats.trace("lapi", "cmpl_thread_run", msg=asm.msg_no,
-                             mid=asm.mid, thr=thread)
+            if self.stats.tracer is not None:
+                self.stats.trace("lapi", "cmpl_thread_run", msg=asm.msg_no,
+                                 mid=asm.mid, thr=thread)
             yield from self.cpu.execute(thread, self.params.lapi_inline_cmpl_us)
             yield from asm.cmpl_fn(self, thread, asm.cmpl_data)
             yield from self._post_complete(thread, asm)
 
     def _post_complete(self, thread: str, asm: _Assembly) -> Generator:
         """Counter updates after handler execution (paper §3 ordering)."""
-        self.stats.trace("lapi", "cmpl_done", src=asm.src, msg=asm.msg_no,
-                         mid=asm.mid, thr=thread)
+        if self.stats.tracer is not None:
+            self.stats.trace("lapi", "cmpl_done", src=asm.src, msg=asm.msg_no,
+                             mid=asm.mid, thr=thread)
         if asm.tgt_cntr_id is not None:
             cntr = self._lookup_counter(asm.tgt_cntr_id)
             if cntr is None:

@@ -215,6 +215,7 @@ class Cpu:
         if core.last_thread is None:
             return 0.0
         self.stats.ctx_switches += 1
-        self.stats.trace("cpu", "ctx_switch", to=thread, frm=core.last_thread,
-                         cost_us=self.params.ctx_switch_us)
+        if self.stats.tracer is not None:
+            self.stats.trace("cpu", "ctx_switch", to=thread, frm=core.last_thread,
+                             cost_us=self.params.ctx_switch_us)
         return self.params.ctx_switch_us

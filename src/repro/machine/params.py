@@ -16,20 +16,26 @@ attributes essentially the whole Base-vs-Enhanced gap to it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
 def _us_per_byte(mb_per_s: float) -> float:
-    """Convert a MB/s rate to microseconds per byte (1 MB/s == 1 B/us)."""
-    return 1.0 / mb_per_s
+    """Convert a MB/s rate to microseconds per byte (1 MB/s == 1 B/us).
+
+    A zero rate maps to ``inf`` so construction never fails;
+    :meth:`MachineParams.validate` rejects it.
+    """
+    return 1.0 / mb_per_s if mb_per_s else math.inf
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineParams:
     """Tunable cost model for one simulated SP system.
 
-    Instances are immutable in spirit: create variants with
-    :meth:`replace` rather than mutating shared configuration.
+    Instances are immutable: create variants with :meth:`replace`.  The
+    per-byte rates (``wire_us_per_byte``, ``dma_us_per_byte``,
+    ``copy_us_per_byte``) are derived once, at construction.
     """
 
     # ------------------------------------------------------------ network
@@ -180,17 +186,12 @@ class MachineParams:
     hysteresis_max_us: float = 320.0
 
     # ---------------------------------------------------------- derived
-    @property
-    def wire_us_per_byte(self) -> float:
-        return _us_per_byte(self.link_bandwidth_MBps)
-
-    @property
-    def dma_us_per_byte(self) -> float:
-        return _us_per_byte(self.dma_bandwidth_MBps)
-
-    @property
-    def copy_us_per_byte(self) -> float:
-        return _us_per_byte(self.copy_bandwidth_MBps)
+    def __post_init__(self) -> None:
+        # the cost methods run per packet and per copy: divide once here
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "wire_us_per_byte", _us_per_byte(self.link_bandwidth_MBps))
+        setattr_(self, "dma_us_per_byte", _us_per_byte(self.dma_bandwidth_MBps))
+        setattr_(self, "copy_us_per_byte", _us_per_byte(self.copy_bandwidth_MBps))
 
     @property
     def route_base_us(self) -> float:

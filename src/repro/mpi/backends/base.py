@@ -325,9 +325,10 @@ class Backend:
                 f"ready-mode message (tag {msg.envelope.tag}) arrived with "
                 "no matching receive posted"
             )
-        self.stats.trace("mpci", "early_arrival" if handle is None else "matched_posted",
-                         proto=msg.proto, tag=msg.envelope.tag, mseq=msg.mseq,
-                         mid=msg.mid)
+        if self.stats.tracer is not None:
+            self.stats.trace("mpci", "early_arrival" if handle is None else "matched_posted",
+                             proto=msg.proto, tag=msg.envelope.tag, mseq=msg.mseq,
+                             mid=msg.mid)
         if handle is None:
             self._g_unexpected.set(len(self.matcher.early))
         else:

@@ -266,8 +266,9 @@ class LapiBackend(Backend):
         expected = self._expected.setdefault(src, 0)
         if msg.mseq != expected:
             self.stats.deferred_announcements += 1
-            self.stats.trace("mpci", "announce_deferred", mseq=msg.mseq,
-                             expected=expected, mid=msg.mid)
+            if self.stats.tracer is not None:
+                self.stats.trace("mpci", "announce_deferred", mseq=msg.mseq,
+                                 expected=expected, mid=msg.mid)
             self._pending_ann.setdefault(src, {})[msg.mseq] = msg
             return
         self._match_now(msg, deferred=False)
@@ -338,8 +339,9 @@ class LapiBackend(Backend):
         ps = self.pending_sends.get(uhdr["sid"])
         if ps is None:
             return NullTarget(), None, None
-        self.stats.trace("mpci", "rts_acked", sid=uhdr["sid"],
-                         blocking=ps.blocking, mid=ps.uhdr.get("mid"))
+        if self.stats.tracer is not None:
+            self.stats.trace("mpci", "rts_acked", sid=uhdr["sid"],
+                             blocking=ps.blocking, mid=ps.uhdr.get("mid"))
         ps.recv_slot = uhdr.get("slot")
         if ps.blocking:
             ps.acked = True

@@ -84,8 +84,9 @@ class NativeBackend(Backend):
         while True:
             # dwell: spin on the CPU hoping more packets arrive
             self.stats.hysteresis_dwells += 1
-            self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
-                             thr=thread)
+            if self.stats.tracer is not None:
+                self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
+                                 thr=thread)
             yield from self.cpu.execute(thread, self._hysteresis_us)
             if self.pipes.hal.rx_pending == 0:
                 self._hysteresis_us = p.hysteresis_initial_us
@@ -252,6 +253,7 @@ class NativeBackend(Backend):
             # native completion happens right in the dispatcher — the
             # native stack has no separate completion thread (its Fig 13
             # problem is hysteresis, not context switches)
-            self.stats.trace("mpci", "msg_complete", sid=msg.sid, bytes=msg.size,
-                             mid=msg.mid)
+            if self.stats.tracer is not None:
+                self.stats.trace("mpci", "msg_complete", sid=msg.sid, bytes=msg.size,
+                                 mid=msg.mid)
             self._data_complete(msg)

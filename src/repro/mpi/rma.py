@@ -389,7 +389,8 @@ class Window:
         eng = self._engine
         eng.metrics.counter(metric).incr()
         mid = f"rma{eng.task_id}:{next(eng.mids)}"
-        eng.stats.trace("rma", event, win=self.name, tgt=t, **fields, mid=mid)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", event, win=self.name, tgt=t, **fields, mid=mid)
         return mid
 
     def _done_request(self, nbytes: int) -> Request:
@@ -512,7 +513,8 @@ class Window:
         eng = self._engine
         yield from eng.charge()
         eng.metrics.counter("rma.rmw").incr()
-        eng.stats.trace("rma", "rmw", win=self.name, tgt=t, op=op)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "rmw", win=self.name, tgt=t, op=op)
         if t == self.comm.rank:
             # local word ops run atomically in the caller's context
             return _apply_rmw(self.mem, disp, op, value, compare)
@@ -552,11 +554,13 @@ class Window:
         yield from eng.charge()
         eng.metrics.counter("rma.fence").incr()
         epoch = self.fence_epoch
-        eng.stats.trace("rma", "fence_enter", win=self.name, epoch=epoch)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "fence_enter", win=self.name, epoch=epoch)
         yield from eng.drain(self)
         yield from eng.fence(self, epoch)
         self.fence_epoch += 1
-        eng.stats.trace("rma", "fence_exit", win=self.name, epoch=epoch)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "fence_exit", win=self.name, epoch=epoch)
 
     def post(self, origin_ranks: Sequence[int]) -> Generator:
         """MPI_Win_post: expose the window to ``origin_ranks``."""
@@ -565,7 +569,8 @@ class Window:
         eng = self._engine
         yield from eng.charge()
         eng.metrics.counter("rma.post").incr()
-        eng.stats.trace("rma", "post", win=self.name, origins=len(ranks))
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "post", win=self.name, origins=len(ranks))
         self.exposure_origins = set(ranks)
         me = self.comm.rank
         for r in ranks:
@@ -580,7 +585,8 @@ class Window:
         ranks = list(target_ranks)
         eng = self._engine
         yield from eng.charge()
-        eng.stats.trace("rma", "start", win=self.name, targets=len(ranks))
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "start", win=self.name, targets=len(ranks))
         self.access_targets = set(ranks)
         for r in sorted(ranks):
             if r == self.comm.rank:
@@ -594,8 +600,9 @@ class Window:
         eng = self._engine
         yield from eng.charge()
         yield from eng.drain(self)
-        eng.stats.trace("rma", "complete", win=self.name,
-                        targets=len(self.access_targets))
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "complete", win=self.name,
+                            targets=len(self.access_targets))
         me = self.comm.rank
         for t in sorted(self.access_targets):
             if t == me:
@@ -617,7 +624,8 @@ class Window:
             else:
                 yield from eng.await_complete(self, o)
         self.exposure_origins = set()
-        eng.stats.trace("rma", "wait_done", win=self.name)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "wait_done", win=self.name)
 
     def _post_arrived(self, origin: int) -> None:
         self.post_tokens[origin] = self.post_tokens.get(origin, 0) + 1
@@ -641,8 +649,9 @@ class Window:
             raise RmaError(f"target {t} already locked by this origin")
         eng.metrics.counter("rma.lock").incr()
         lid = f"{eng.task_id}:{next(eng.lock_ids)}"
-        eng.stats.trace("rma", "lock", win=self.name, tgt=t, lid=lid,
-                        excl=exclusive)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "lock", win=self.name, tgt=t, lid=lid,
+                            excl=exclusive)
         if t != self.comm.rank:
             yield from eng.lock(self, t, lid, exclusive)
         elif not self.ledger.request(lid, exclusive, None):
@@ -657,7 +666,8 @@ class Window:
         yield from eng.charge()
         if t not in self.passive:
             raise RmaError(f"flush({t}) outside a passive epoch")
-        eng.stats.trace("rma", "flush", win=self.name, tgt=t)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "flush", win=self.name, tgt=t)
         yield from eng.flush(self, t)
 
     def unlock(self, target_rank: int) -> Generator:
@@ -670,7 +680,8 @@ class Window:
             raise RmaError(f"target {t} is not locked by this origin")
         # flush: every op of this epoch applied/served at the target
         yield from eng.flush(self, t)
-        eng.stats.trace("rma", "unlock", win=self.name, tgt=t, lid=lid)
+        if eng.stats.tracer is not None:
+            eng.stats.trace("rma", "unlock", win=self.name, tgt=t, lid=lid)
         if t == self.comm.rank:
             yield from self._route_grants("user", self.ledger.release(lid))
         else:
@@ -708,7 +719,8 @@ class Window:
                 f"{sorted(self.exposure_origins)})")
         yield from self.fence()  # quiesce + synchronize all ranks
         yield from self._engine.close(self)
-        self._engine.stats.trace("rma", "win_free", win=self.name)
+        if self._engine.stats.tracer is not None:
+            self._engine.stats.trace("rma", "win_free", win=self.name)
         self._freed = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -735,7 +747,8 @@ def win_create(comm, buf) -> Generator:
     win = Window(engine, comm, mem, name)
     win.tx = yield from engine.open(win)
     engine.metrics.counter("rma.windows").incr()
-    engine.stats.trace("rma", "win_create", win=name, bytes=len(mem))
+    if engine.stats.tracer is not None:
+        engine.stats.trace("rma", "win_create", win=name, bytes=len(mem))
     # nobody may target a window before every rank has opened it
     yield from comm.barrier()
     return win

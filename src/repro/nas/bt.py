@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["bt", "serial_reference"]
 
@@ -20,6 +20,7 @@ _DIAG = 4.0
 _OFF = -1.0
 
 
+@shared
 def _init_state(n: int) -> np.ndarray:
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return (np.sin(0.21 * i) * np.cos(0.17 * j) + 0.01 * (i + j)).astype(np.float64)
@@ -43,6 +44,7 @@ def _thomas_rows(rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@shared
 def serial_reference(n: int = 64, iters: int = 4) -> np.ndarray:
     u = _init_state(n)
     for _ in range(iters):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["cg", "build_system", "serial_reference"]
 
 
+@shared
 def build_system(n: int):
     """SPD banded test matrix (diagonally dominant) and RHS."""
     idx = np.arange(n)
@@ -28,6 +29,7 @@ def build_system(n: int):
     return A, b
 
 
+@shared
 def serial_reference(n: int) -> np.ndarray:
     A, b = build_system(n)
     return np.linalg.solve(A, b)

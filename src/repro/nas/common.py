@@ -1,11 +1,18 @@
-"""Shared NAS-kernel infrastructure: compute-cost model, registry."""
+"""Shared NAS-kernel infrastructure: compute-cost model, registry,
+shared read-only problem data and serial references."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Generator
 
-__all__ = ["FLOP_US", "KERNELS", "NasOutcome", "compute", "register", "run_kernel"]
+import numpy as np
+
+__all__ = [
+    "FLOP_US", "KERNELS", "SHARED_CACHE_SIZE", "NasOutcome", "compute",
+    "register", "run_kernel", "shared",
+]
 
 #: simulated cost of one floating-point operation on the 332 MHz node
 #: (~125 Mflop/s sustained — P2SC/604e class for stride-1 kernels)
@@ -20,6 +27,43 @@ def compute(comm, flops: float) -> Generator:
     would have cost on the modelled node.
     """
     yield from comm.backend.cpu.execute("user", flops * FLOP_US)
+
+
+#: parameter sets each :func:`shared` builder keeps, least recently used
+#: evicted first; IS's key builder takes one entry per rank, so this
+#: holds classes S and W of an 8-rank run
+SHARED_CACHE_SIZE = 16
+
+
+def _freeze(value):
+    """Make a builder's result safe to share: arrays read-only, lists
+    (and the items of tuples) frozen into tuples."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value
+    if isinstance(value, (list, tuple)):
+        return tuple(_freeze(v) for v in value)
+    return value
+
+
+def shared(builder: Callable) -> Callable:
+    """Memoise a pure builder of problem data or of a serial reference.
+
+    Each parameter set is built once; every rank and every later run
+    gets the same object, frozen by :func:`_freeze`.  A kernel that
+    writes into shared data therefore raises ``ValueError`` at once
+    instead of corrupting the next run: take a ``.copy()`` of what you
+    mean to update.  The cache is a bounded LRU keyed on the call's
+    arguments (``SHARED_CACHE_SIZE`` entries per builder);
+    ``__wrapped__`` is the uncached builder.
+    """
+
+    @functools.lru_cache(maxsize=SHARED_CACHE_SIZE)
+    def build(*args, **kwargs):
+        return _freeze(builder(*args, **kwargs))
+
+    functools.update_wrapper(build, builder)
+    return build
 
 
 @dataclass

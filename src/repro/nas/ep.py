@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["ep", "serial_reference"]
 
@@ -49,6 +49,7 @@ def _tally(u: np.ndarray):
     return counts, float(gx.sum()), float(gy.sum())
 
 
+@shared
 def serial_reference(n_pairs: int):
     """Single-process answer for verification."""
     u = _generate(_SEED, 2 * n_pairs)
@@ -77,4 +78,5 @@ def ep(comm, rank, size, n_pairs: int = 4096):
         and abs(total[10] - ref_sx) < 1e-8 * max(1.0, abs(ref_sx))
         and abs(total[11] - ref_sy) < 1e-8 * max(1.0, abs(ref_sy))
     )
-    return NasOutcome("ep", bool(verified), float(total[10] + total[11]))
+    return NasOutcome("ep", bool(verified), float(total[10] + total[11]),
+                      detail=(total[:10], float(total[10]), float(total[11])))

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["ft", "serial_reference"]
 
 
+@shared
 def _field(shape) -> np.ndarray:
     nx, ny, nz = shape
     i, j, k = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
@@ -41,19 +42,21 @@ def _checksum(spec: np.ndarray, t: int) -> complex:
     return total / 16.0
 
 
-def serial_reference(shape=(16, 16, 16), steps: int = 3) -> list[complex]:
+@shared
+def serial_reference(shape=(16, 16, 16), steps: int = 3) -> tuple[complex, ...]:
     u = _field(shape)
     spec = np.fft.fftn(u)
     sums = []
     for t in range(1, steps + 1):
         evolved = spec * _evolve_factor(shape, t)
         sums.append(_checksum(evolved, t))
-    return sums
+    return tuple(sums)
 
 
 @register("ft")
 def ft(comm, rank, size, shape=(16, 16, 16), steps: int = 3):
     """Distributed 3-D FFT with alltoall transposes."""
+    shape = tuple(shape)  # hashable: it keys the shared field and reference
     nx, ny, nz = shape
     if nx % size or ny % size:
         raise ValueError("first two dims must be divisible by comm size")

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["is_sort", "serial_reference"]
 
 _MAX_KEY = 1 << 11
 
 
+@shared
 def _keys_for(rank: int, n_local: int) -> np.ndarray:
     rng = np.random.default_rng(900 + rank)
     return rng.integers(0, _MAX_KEY, n_local, dtype=np.int32)
 
 
+@shared
 def serial_reference(size: int, n_local: int) -> np.ndarray:
     """All keys, globally sorted."""
     allk = np.concatenate([_keys_for(r, n_local) for r in range(size)])

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["lu", "serial_reference"]
 
 OMEGA = 1.2
 
 
+@shared
 def _init_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     u = np.where((i == 0) | (j == 0) | (i == n - 1) | (j == n - 1),
@@ -43,8 +44,10 @@ def _sweep_serial(u: np.ndarray, f: np.ndarray, block: int = 16) -> None:
             )
 
 
+@shared
 def serial_reference(n: int = 64, sweeps: int = 6, block: int = 16) -> np.ndarray:
     u, f = _init_grid(n)
+    u = u.copy()  # the shared grid is read-only; sweep a private copy
     for _ in range(sweeps):
         _sweep_serial(u, f, block)
     return u

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["mg", "serial_reference"]
 
 
+@shared
 def _rhs(n: int) -> np.ndarray:
     x = np.linspace(0.0, 1.0, n, endpoint=False)
     return np.sin(2 * np.pi * x) + 0.3 * np.sin(6 * np.pi * x)
@@ -47,6 +48,7 @@ def _vcycle_serial(u, f, h2, level, max_level):
     return _smooth_serial(u, f, h2, 2)
 
 
+@shared
 def serial_reference(n: int, cycles: int = 3) -> np.ndarray:
     f = _rhs(n)
     u = np.zeros(n)

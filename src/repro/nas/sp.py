@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nas.common import NasOutcome, compute, register
+from repro.nas.common import NasOutcome, compute, register, shared
 
 __all__ = ["sp", "serial_reference"]
 
@@ -32,11 +32,13 @@ def _penta_solve(rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
+@shared
 def _init_state(n: int) -> np.ndarray:
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     return (np.cos(0.13 * i) * np.sin(0.19 * j) + 0.02 * i).astype(np.float64)
 
 
+@shared
 def serial_reference(n: int = 64, iters: int = 3) -> np.ndarray:
     u = _init_state(n)
     for _ in range(iters):

@@ -29,11 +29,12 @@ class Packet:
     header_bytes: int
     pkt_id: int = field(default_factory=lambda: next(_pkt_ids))
     route: int = 0
+    #: total bytes serialised onto the link (header + payload), fixed at
+    #: construction: the adapter reads it at every stage of the packet
+    wire_bytes: int = field(init=False)
 
-    @property
-    def wire_bytes(self) -> int:
-        """Total bytes serialised onto the link."""
-        return self.header_bytes + len(self.payload)
+    def __post_init__(self) -> None:
+        self.wire_bytes = self.header_bytes + len(self.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.header.get("kind", "?")

@@ -109,9 +109,10 @@ class PipeEndpoint:
             raise ValueError("pipes do not loop back to self")
         size = len(data)
         self._m_frames.incr()
-        self.stats.trace("pipes", "frame_send", fid=fid, dst=dst, bytes=size,
-                         sid=meta.get("sid"), t=meta.get("t"), mid=mid,
-                         thr=thread)
+        if self.stats.tracer is not None:
+            self.stats.trace("pipes", "frame_send", fid=fid, dst=dst, bytes=size,
+                             sid=meta.get("sid"), t=meta.get("t"), mid=mid,
+                             thr=thread)
         chunks = fragment(size, self.params.packet_payload)
         last_idx = len(chunks) - 1
         # Zero-copy packetization: multi-packet frames slice a read-only

@@ -176,7 +176,8 @@ class ReliableFlows:
                     continue
                 seq, (header, payload) = flow.window.oldest_unacked()
                 self.stats.retransmissions += 1
-                self.stats.trace(self.layer, "retransmit", dst=dst, seq=seq)
+                if self.stats.tracer is not None:
+                    self.stats.trace(self.layer, "retransmit", dst=dst, seq=seq)
                 yield from self.cpu.execute("user", self.pkt_us)
                 yield from self.hal.send("user", dst, header, payload)
                 flow.last_progress = self.env.now

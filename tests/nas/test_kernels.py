@@ -45,11 +45,19 @@ def test_unknown_kernel_rejected():
 
 
 def test_ep_serial_reference_matches_parallel_counts():
+    """The 4-rank EP run's allreduced annulus counts and Gaussian sums
+    equal the single-process answer (each rank leapfrogs the LCG)."""
     from repro.nas.ep import serial_reference
 
-    counts, sx, sy = serial_reference(2048)
+    counts, sx, sy = serial_reference.__wrapped__(2048)
     assert counts.sum() > 0
-    assert np.isfinite(sx) and np.isfinite(sy)
+    result = run_kernel("ep", SPCluster(4, stack="lapi-enhanced"), n_pairs=2048)
+    for outcome in result.values:
+        p_counts, p_sx, p_sy = outcome.detail
+        np.testing.assert_array_equal(p_counts, counts)
+        # the sums differ from the serial ones only in summation order
+        assert p_sx == pytest.approx(sx, rel=1e-12, abs=1e-12)
+        assert p_sy == pytest.approx(sy, rel=1e-12, abs=1e-12)
 
 
 def test_is_handles_uneven_buckets():
