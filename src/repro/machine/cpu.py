@@ -101,7 +101,9 @@ class Cpu:
                 switch = self._switch_penalty(core, thread)
             total = switch + cost_us if cost_us > 0.0 else switch
             try:
-                if total > 0.0:
+                # when nothing else could run before the charge ends, the
+                # kernel lets the time pass inline instead of a queued wait
+                if total > 0.0 and not self.env.advance(total):
                     yield self.env.auto_timeout(total)
                 self.busy_us += total
             finally:

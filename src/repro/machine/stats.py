@@ -119,8 +119,10 @@ del _name
 
 
 def aggregate(stats: list[NodeStats]) -> NodeStats:
-    """Sum a list of :class:`NodeStats`."""
+    """Sum a list of :class:`NodeStats` into one new :class:`NodeStats`."""
     total = NodeStats()
+    sums = total._counters
     for s in stats:
-        total = total.merged_with(s)
+        for name in COUNTER_FIELDS:
+            sums[name].set(getattr(total, name) + getattr(s, name))
     return total

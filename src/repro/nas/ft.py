@@ -25,6 +25,7 @@ def _field(shape) -> np.ndarray:
     return np.exp(1j * (0.7 * i + 0.3 * j + 0.11 * k)) + 0.25 * np.cos(i * j % 7)
 
 
+@shared
 def _evolve_factor(shape, t: int) -> np.ndarray:
     nx, ny, nz = shape
     kx = np.minimum(np.arange(nx), nx - np.arange(nx))
@@ -87,11 +88,10 @@ def ft(comm, rank, size, shape=(16, 16, 16), steps: int = 3):
     yield from compute(comm, 5.0 * nx * sy * nz * np.log2(nx))
 
     # evolve + checksum for each step
-    factor_full = [_evolve_factor(shape, t) for t in range(1, steps + 1)]
     my_y = slice(rank * sy, (rank + 1) * sy)
     results = []
     for t in range(1, steps + 1):
-        evolved = xlocal * factor_full[t - 1][:, my_y, :]
+        evolved = xlocal * _evolve_factor(shape, t)[:, my_y, :]
         yield from compute(comm, 2.0 * nx * sy * nz)
         # checksum: sum my share of the 16 sample modes, then allreduce
         local_sum = 0j

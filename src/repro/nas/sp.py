@@ -20,16 +20,21 @@ _D1 = -2.0
 _D2 = 0.5
 
 
-def _penta_solve(rhs: np.ndarray) -> np.ndarray:
-    """Solve the constant pentadiagonal system along axis 0 (columns)."""
-    n = rhs.shape[0]
-    # build the banded matrix once; small n keeps this cheap and exact
+@shared
+def _penta_matrix(n: int) -> np.ndarray:
+    """The constant pentadiagonal matrix of order ``n``, dense."""
     A = np.zeros((n, n))
     idx = np.arange(n)
     A[idx, idx] = _D0
     A[idx[:-1], idx[:-1] + 1] = A[idx[:-1] + 1, idx[:-1]] = _D1
     A[idx[:-2], idx[:-2] + 2] = A[idx[:-2] + 2, idx[:-2]] = _D2
-    return np.linalg.solve(A, rhs)
+    return A
+
+
+def _penta_solve(rhs: np.ndarray) -> np.ndarray:
+    """Solve the constant pentadiagonal system along axis 0 (columns)."""
+    # small n keeps the dense solve cheap and exact
+    return np.linalg.solve(_penta_matrix(rhs.shape[0]), rhs)
 
 
 @shared

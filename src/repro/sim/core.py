@@ -27,6 +27,11 @@ Design notes
   callbacks have run.  They must be yielded (or given their callback)
   immediately and never retained once processed — see
   ``docs/PERFORMANCE.md`` for the retention rules.
+* :meth:`Environment.advance` fast-forwards a timeout that would
+  provably be the very next pop: the clock moves inline and the waiting
+  generator chain never unwinds.  It is counted exactly like the
+  queued timeout it replaces, so every trajectory and ``sim.*`` count
+  is unchanged.
 """
 
 from __future__ import annotations
@@ -473,6 +478,13 @@ class Environment:
         self._seq_seen = 0
         self._depth = 0
         self._depth_max = 0
+        # Fast-forward state (see advance()): ``_solo`` is set while run()
+        # executes the only callback of the event it popped, ``_until`` is
+        # that run()'s time bound, and ``_ff`` counts the fast-forwarded
+        # pops that run() has not yet folded into its local counters.
+        self._solo = False
+        self._until = _INF
+        self._ff = 0
         self.metrics = metrics
         if metrics is not None:
             self._m_popped = metrics.counter("sim.events_popped")
@@ -613,6 +625,45 @@ class Environment:
             return self._now  # delay-0 events are always at the current instant
         return self._queue[0][0] if self._queue else _INF
 
+    def advance(self, delay: float) -> bool:
+        """Let ``delay`` pass inline if nothing else could run first.
+
+        For the running process only, in place of ``yield
+        auto_timeout(delay)``: returns True, with the clock moved on by
+        ``delay``, when that timeout would provably be the very next pop.
+        That holds when :meth:`run` is executing the only callback of the
+        event it popped, nothing is due at the current instant, every
+        heap entry lies strictly later (a tie never fast-forwards), and
+        the new time does not pass ``run(until=t)``.  The skipped timeout
+        is counted as if it had been queued and popped: one ``_seq``,
+        one heap-depth sample, one pop and one process switch.  Returns
+        False, changing nothing, otherwise; the caller then yields the
+        timeout as usual.
+        """
+        if not self._solo or self._urgent or self._normal:
+            return False
+        t = self._now + delay
+        q = self._queue
+        if t > self._until or (q and q[0][0] <= t):
+            return False
+        self._now = t
+        self._seq_seen = self._seq = self._seq + 1
+        # the pending count with the timeout queued: the deques are empty
+        depth = self._depth = len(q) + 1
+        if depth > self._depth_max:
+            self._depth_max = depth
+        self._ff += 1
+        self._switches += 1
+        return True
+
+    def _take_ff(self, popped: int, depth_max: int) -> tuple[int, int, int, int]:
+        """Fold fast-forwarded pops into run()'s local counters."""
+        popped += self._ff
+        self._ff = 0
+        if self._depth_max > depth_max:
+            depth_max = self._depth_max
+        return popped, self._seq_seen, self._depth, depth_max
+
     def _note_depth(self) -> None:
         """Sample the pending-event count if anything was enqueued."""
         seq = self._seq
@@ -684,9 +735,15 @@ class Environment:
                 if stop_at < self._now:
                     raise ValueError(f"until={stop_at} is in the past (now={self._now})")
 
+            self._until = stop_at
+
             # The heap/deque structures, the pop logic, and the body of
             # step() are inlined here with bound locals: this loop is the
             # simulator's single hottest path (see benchmarks/bench_simcore.py).
+            # A lone callback runs with ``_solo`` set, so the process it
+            # resumes may fast-forward its CPU charges (advance()); the
+            # loop folds those pops into its counters only when one
+            # happened, which always moved ``_seq``.
             u, n, q = self._urgent, self._normal, self._queue
             heappop = _heappop
             free = self._free
@@ -710,8 +767,13 @@ class Environment:
                     callbacks = event.callbacks
                     event.callbacks = None
                     event._processed = True
-                    for cb in callbacks:
-                        cb(event)
+                    if len(callbacks) == 1:
+                        self._solo = True
+                        callbacks[0](event)
+                    else:
+                        self._solo = False
+                        for cb in callbacks:
+                            cb(event)
                     if event._auto:
                         event._processed = False
                         event._triggered = False
@@ -725,10 +787,14 @@ class Environment:
                     if track:
                         seq = self._seq
                         if seq != seen:
-                            seen = seq
-                            depth = seq - popped
-                            if depth > depth_max:
-                                depth_max = depth
+                            if self._ff:  # fast-forwards bump _seq, so only here
+                                popped, seen, depth, depth_max = self._take_ff(
+                                    popped, depth_max)
+                            if seq != seen:
+                                seen = seq
+                                depth = seq - popped
+                                if depth > depth_max:
+                                    depth_max = depth
 
             while True:
                 if stop_event is not None and stop_event._processed:
@@ -757,8 +823,13 @@ class Environment:
                 callbacks = event.callbacks
                 event.callbacks = None
                 event._processed = True
-                for cb in callbacks:
-                    cb(event)
+                if len(callbacks) == 1:
+                    self._solo = True
+                    callbacks[0](event)
+                else:
+                    self._solo = False
+                    for cb in callbacks:
+                        cb(event)
                 if event._auto:
                     event._processed = False
                     event._triggered = False
@@ -772,10 +843,14 @@ class Environment:
                 if track:
                     seq = self._seq
                     if seq != seen:
-                        seen = seq
-                        depth = seq - popped
-                        if depth > depth_max:
-                            depth_max = depth
+                        if self._ff:  # fast-forwards bump _seq, so only here
+                            popped, seen, depth, depth_max = self._take_ff(
+                                popped, depth_max)
+                        if seq != seen:
+                            seen = seq
+                            depth = seq - popped
+                            if depth > depth_max:
+                                depth_max = depth
 
             if stop_event is not None:
                 if stop_event._processed:
@@ -790,6 +865,9 @@ class Environment:
                 self._now = stop_at
             return None
         finally:
+            self._solo = False
+            if self._ff:  # not folded in yet: untracked, or a callback raised
+                popped, seen, depth, depth_max = self._take_ff(popped, depth_max)
             self._popped = popped
             self._seq_seen = seen
             self._depth = depth

@@ -1,7 +1,7 @@
 """NodeStats bookkeeping."""
 
 from repro.machine import NodeStats
-from repro.machine.stats import aggregate
+from repro.machine.stats import COUNTER_FIELDS, aggregate
 
 
 def test_record_copy():
@@ -27,6 +27,27 @@ def test_aggregate_many():
     parts = [NodeStats(msgs_sent=i) for i in range(5)]
     total = aggregate(parts)
     assert total.msgs_sent == 10
+
+
+def test_aggregate_builds_one_total_equal_to_pairwise_merges(monkeypatch):
+    parts = [NodeStats(**{name: 3 * i + k for k, name in enumerate(COUNTER_FIELDS)})
+             for i in range(3)]
+    merged = NodeStats()
+    for p in parts:
+        merged = merged.merged_with(p)
+    built = []
+    init = NodeStats.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeStats, "__init__", counting_init)
+    total = aggregate(parts)
+    assert built == [total]
+    assert total.as_dict() == merged.as_dict()
+    assert parts[0].copies == 0 and parts[2].copies == 6  # inputs untouched
+    assert aggregate([]).as_dict() == NodeStats().as_dict()
 
 
 def test_as_dict_covers_all_fields():

@@ -2,9 +2,11 @@
 
 Each kernel's global-problem builder and serial reference is built once
 per parameter set and handed, read-only, to every rank and every later
-run.  These tests pin that contract: the cached result is bit-for-bit
-the uncached one, it is shared, it cannot be written, a 4-rank run
-builds each of them exactly once, and the cache stays bounded.
+run, and so are the solver data the ranks share (SP's pentadiagonal
+matrix, FT's evolution factors).  These tests pin that contract: the
+cached result is bit-for-bit the uncached one, it is shared, it cannot
+be written, a 4-rank run builds each of them exactly once, the kernels'
+results do not change by a bit, and the cache stays bounded.
 """
 
 import numpy as np
@@ -27,9 +29,12 @@ BUILDERS = {
     "bt.serial_reference": (bt.serial_reference, (64, 4), lambda i: (10 + 4 * i, 1)),
     "sp._init_state": (sp._init_state, (64,), lambda i: (10 + 4 * i,)),
     "sp.serial_reference": (sp.serial_reference, (64, 3), lambda i: (10 + 4 * i, 1)),
+    "sp._penta_matrix": (sp._penta_matrix, (64,), lambda i: (10 + 4 * i,)),
     "ft._field": (ft._field, ((16, 16, 16),), lambda i: ((4, 4, 2 + i),)),
     "ft.serial_reference": (ft.serial_reference, ((16, 16, 16), 3),
                             lambda i: ((4, 4, 2 + i), 2)),
+    "ft._evolve_factor": (ft._evolve_factor, ((16, 16, 16), 3),
+                          lambda i: ((4, 4, 2 + i), 1)),
     "mg._rhs": (mg._rhs, (512,), lambda i: (16 + 8 * i,)),
     "mg.serial_reference": (mg.serial_reference, (512, 3), lambda i: (16 + 8 * i, 1)),
     "is_._keys_for": (is_._keys_for, (0, 8192), lambda i: (i, 64)),
@@ -42,8 +47,9 @@ PER_RUN = {
     "lu": [(lu._init_grid, 1), (lu.serial_reference, 1)],
     "cg": [(cg.build_system, 1), (cg.serial_reference, 1)],
     "bt": [(bt._init_state, 1), (bt.serial_reference, 1)],
-    "sp": [(sp._init_state, 1), (sp.serial_reference, 1)],
-    "ft": [(ft._field, 1), (ft.serial_reference, 1)],
+    "sp": [(sp._init_state, 1), (sp.serial_reference, 1), (sp._penta_matrix, 1)],
+    "ft": [(ft._field, 1), (ft.serial_reference, 1),
+           (ft._evolve_factor, 3)],  # one per time step
     "mg": [(mg._rhs, 1), (mg.serial_reference, 1)],
     "is": [(is_._keys_for, 4), (is_.serial_reference, 1)],  # one key set per rank
     "ep": [(ep.serial_reference, 1)],
@@ -164,3 +170,15 @@ def test_classes_and_overrides_stay_within_the_bound(kernel):
 def test_ft_accepts_a_list_shape():
     res = run_kernel("ft", SPCluster(4), shape=[16, 16, 8])
     assert all(o.verified for o in res.values)
+
+
+@pytest.mark.parametrize("kernel, module, name", [
+    ("sp", sp, "_penta_matrix"), ("ft", ft, "_evolve_factor")])
+def test_shared_solver_data_leaves_every_result_bit_for_bit(
+        monkeypatch, kernel, module, name):
+    shared_res = run_kernel(kernel, SPCluster(4, stack="lapi-enhanced"))
+    monkeypatch.setattr(module, name, getattr(module, name).__wrapped__)
+    fresh_res = run_kernel(kernel, SPCluster(4, stack="lapi-enhanced"))
+    assert all(o.verified for o in shared_res.values)
+    assert shared_res.values == fresh_res.values
+    assert shared_res.elapsed_us == fresh_res.elapsed_us

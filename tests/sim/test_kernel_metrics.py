@@ -6,6 +6,9 @@ them into its registry only when ``run()``/``step()`` return or raise.
 These tests compare every flushed value with a reference environment
 that recomputes ``len(heap) + len(urgent) + len(normal)`` at every
 enqueue, over random process graphs and every way out of the run loop.
+A CPU charge that :meth:`Environment.advance` fast-forwards counts, in
+the reference too, as the timeout it replaces: its ``_seq`` bump is an
+enqueue and its pop resumes the running process once.
 """
 
 import random
@@ -63,6 +66,14 @@ class ReferenceEnv(Environment):
     def process(self, gen, name=""):
         self.ref_procs += 1
         return _RefProcess(self, gen, name=name)
+
+    def advance(self, delay):
+        # a fast-forwarded CPU charge stands for a queued timeout that
+        # pops next and resumes the running process: one more switch
+        if super().advance(delay):
+            self.ref_switches += 1
+            return True
+        return False
 
     def pending(self) -> int:
         return len(self._queue) + len(self._urgent) + len(self._normal)
