@@ -24,6 +24,7 @@ from repro.machine import MachineParams
 __all__ = [
     "bandwidth_mbps",
     "interrupt_pingpong_us",
+    "pingpong_program",
     "pingpong_result",
     "pingpong_us",
     "raw_lapi_pingpong_us",
@@ -32,6 +33,71 @@ __all__ = [
 
 def _params(params: Optional[MachineParams]) -> MachineParams:
     return params if params is not None else MachineParams()
+
+
+def pingpong_program(msg_size: int, reps: int, warmup: int = 0,
+                     interrupt: bool = False):
+    """The latency ping-pong as a rank program for a 2-node cluster.
+
+    ``warmup`` untimed round trips precede ``reps`` timed ones; rank 0
+    returns the one-way latency in us, rank 1 ``None``.  With
+    ``interrupt`` the responder pre-posts all its receives and
+    busy-checks the receive buffers' contents without entering MPI, so
+    the incoming data can only move via the interrupt path (paper Fig 13
+    methodology); the cluster must be in interrupt mode.
+    """
+    size_eff = max(msg_size, 1)
+    total = warmup + reps
+
+    if interrupt:
+        def program(comm, rank, size):
+            if rank == 1:
+                bufs = [np.zeros(size_eff, dtype=np.uint8) for _ in range(total)]
+                reqs = []
+                for i in range(total):
+                    r = yield from comm.irecv(bufs[i], source=0)
+                    reqs.append(r)
+                yield from comm.barrier()
+                for i in range(total):
+                    marker = (i % 255) + 1
+                    # spin on memory contents — NOT on MPI calls
+                    while bufs[i][-1] != marker:
+                        yield from comm.backend.cpu.execute(
+                            "user", comm.backend.params.poll_check_us
+                        )
+                    yield from comm.send(bytes([marker]) * size_eff, dest=0)
+                return None
+            buf = bytearray(size_eff)
+            yield from comm.barrier()
+            t0 = None
+            for i in range(total):
+                if i == warmup:
+                    t0 = comm.env.now
+                marker = (i % 255) + 1
+                yield from comm.send(bytes([marker]) * size_eff, dest=1)
+                yield from comm.recv(buf, source=1)
+            return (comm.env.now - t0) / reps / 2.0
+
+        return program
+
+    payload = bytes(msg_size)
+
+    def program(comm, rank, size):
+        buf = bytearray(size_eff)
+        yield from comm.barrier()
+        t0 = None
+        for i in range(total):
+            if i == warmup:
+                t0 = comm.env.now
+            if rank == 0:
+                yield from comm.send(payload, dest=1)
+                yield from comm.recv(buf, source=1)
+            else:
+                yield from comm.recv(buf, source=0)
+                yield from comm.send(payload, dest=0)
+        return (comm.env.now - t0) / reps / 2.0 if rank == 0 else None
+
+    return program
 
 
 def pingpong_result(
@@ -48,24 +114,7 @@ def pingpong_result(
     carries the cluster's full metrics snapshot.
     """
     cluster = SPCluster(2, stack=stack, params=_params(params), seed=seed)
-    payload = bytes(msg_size)
-
-    def program(comm, rank, size):
-        buf = bytearray(max(msg_size, 1))
-        yield from comm.barrier()
-        t0 = None
-        for i in range(warmup + reps):
-            if i == warmup:
-                t0 = comm.env.now
-            if rank == 0:
-                yield from comm.send(payload, dest=1)
-                yield from comm.recv(buf, source=1)
-            else:
-                yield from comm.recv(buf, source=0)
-                yield from comm.send(payload, dest=0)
-        return (comm.env.now - t0) / reps / 2.0 if rank == 0 else None
-
-    return cluster.run(program)
+    return cluster.run(pingpong_program(msg_size, reps, warmup))
 
 
 def pingpong_us(
@@ -89,48 +138,13 @@ def interrupt_pingpong_us(
     params: Optional[MachineParams] = None,
     seed: int = 0,
 ) -> float:
-    """One-way latency (us) in interrupt mode.
-
-    The responder pre-posts all its receives and busy-checks the receive
-    buffers' contents without entering MPI, so the incoming data can only
-    move via the interrupt path (paper Fig 13 methodology).
-    """
+    """One-way latency (us) in interrupt mode (see :func:`pingpong_program`)."""
     from repro.cluster import preset
 
-    size_eff = max(msg_size, 1)
     cluster = preset("interrupt_mode", stack=stack, params=_params(params),
                      seed=seed).build()
-
-    def program(comm, rank, size):
-        total = warmup + reps
-        if rank == 1:
-            bufs = [np.zeros(size_eff, dtype=np.uint8) for _ in range(total)]
-            reqs = []
-            for i in range(total):
-                r = yield from comm.irecv(bufs[i], source=0)
-                reqs.append(r)
-            yield from comm.barrier()
-            for i in range(total):
-                marker = (i % 255) + 1
-                # spin on memory contents — NOT on MPI calls
-                while bufs[i][-1] != marker:
-                    yield from comm.backend.cpu.execute(
-                        "user", comm.backend.params.poll_check_us
-                    )
-                yield from comm.send(bytes([marker]) * size_eff, dest=0)
-            return None
-        buf = bytearray(size_eff)
-        yield from comm.barrier()
-        t0 = None
-        for i in range(total):
-            if i == warmup:
-                t0 = comm.env.now
-            marker = (i % 255) + 1
-            yield from comm.send(bytes([marker]) * size_eff, dest=1)
-            yield from comm.recv(buf, source=1)
-        return (comm.env.now - t0) / reps / 2.0
-
-    return cluster.run(program).values[0]
+    return cluster.run(
+        pingpong_program(msg_size, reps, warmup, interrupt=True)).values[0]
 
 
 def bandwidth_mbps(

@@ -70,7 +70,8 @@ class Cpu:
         self._cores = [_Core(i) for i in range(cores)]
         #: the only core of a uniprocessor node (``execute``'s fast path)
         self._uni_core = self._cores[0] if cores == 1 else None
-        self._waiters: deque[Event] = deque()
+        #: ``(event, thread)`` per process queued for a core, FIFO
+        self._waiters: deque[tuple[Event, str]] = deque()
         #: cumulative busy time across cores (utilisation statistic)
         self.busy_us: float = 0.0
         #: fault hook (:class:`repro.faults.FaultPoint`) for node-slowdown
@@ -114,8 +115,18 @@ class Cpu:
         core = self._try_acquire(thread)
         if core is None:
             ev = self.env.auto_event()
-            self._waiters.append((ev, thread))
-            core = yield ev  # hand-off: the releaser granted us this core
+            waiter = (ev, thread)
+            self._waiters.append(waiter)
+            try:
+                core = yield ev  # hand-off: the releaser granted us this core
+            except BaseException:
+                # interrupted while queued: leave the queue, or pass on
+                # the core a releaser already granted us
+                if ev.triggered:
+                    self._release(ev._value)
+                else:
+                    self._waiters.remove(waiter)
+                raise
         try:
             switch = self._switch_penalty(core, thread)
             if self.faults is not None:

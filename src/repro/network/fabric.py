@@ -12,7 +12,9 @@ derives a static loss point from ``params.packet_loss_rate``, so the
 scalar knob keeps working for directly constructed fabrics.
 
 The fabric owns no CPU time; link serialisation happens in the sending
-adapter and reception costs in the receiving one.
+adapter and reception costs in the receiving one.  Subclasses change
+only the traversal delay (:meth:`SwitchFabric._traversal_us`), as
+:class:`~repro.network.staged.StagedFabric` does with its butterfly.
 """
 
 from __future__ import annotations
@@ -95,6 +97,15 @@ class SwitchFabric:
         self._next_route[key] = (r + 1) % self.params.route_count
         return r
 
+    def _traversal_us(self, packet: "Packet") -> float:
+        """The packet's fabric latency: route base, skew and jitter."""
+        p = self.params
+        return (
+            p.route_base_us
+            + packet.route * p.route_skew_us
+            + (self.rng.random() * p.route_jitter_us if p.route_jitter_us > 0 else 0.0)
+        )
+
     # ------------------------------------------------------------------
     def transmit(self, packet: "Packet") -> None:
         """Inject a fully serialised packet into the fabric.
@@ -106,7 +117,6 @@ class SwitchFabric:
         arrive = self._arrive.get(packet.dst)
         if arrive is None:
             raise KeyError(f"no adapter attached for node {packet.dst}")
-        p = self.params
         copies, extras = 1, ()
         faults = self.faults
         if faults is not None:
@@ -119,11 +129,8 @@ class SwitchFabric:
                     return
                 copies = verdict.copies
                 extras = verdict.extra_delays_us
-        delay = (
-            p.route_base_us
-            + packet.route * p.route_skew_us
-            + (self.rng.random() * p.route_jitter_us if p.route_jitter_us > 0 else 0.0)
-        )
+        # drawn after the fault verdict: both may share the fabric rng
+        delay = self._traversal_us(packet)
         if copies == 1 and not extras:
             if self._h_delay is not None:
                 self._h_delay.observe(delay)

@@ -28,6 +28,10 @@ rounding:
 Pipes/native messages use the same phase names; their per-packet
 processing and reordering copies all land in ``copy`` and the last two
 phases are zero (native completion is inline in the dispatcher).
+
+Both the breakdowns and :mod:`repro.obs.spans` read one :class:`Leg`
+per LAPI active message or native frame, built by :func:`build_legs`:
+the one place that decides which record closes which phase.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from repro.trace import TraceRecord, Tracer
 __all__ = [
     "Breakdown",
     "CAPTURE_MODES",
+    "Leg",
     "PHASES",
     "TruncatedTraceError",
     "breakdown",
+    "build_legs",
     "capture",
     "lapi_breakdowns",
     "pipes_breakdowns",
@@ -112,14 +118,6 @@ class Breakdown:
         return self.end - self.start
 
 
-def _dwells_by_node(tracer: Tracer) -> dict[int, list[TraceRecord]]:
-    """Interrupt-hysteresis dwell records (native ISR), grouped by node."""
-    out: dict[int, list[TraceRecord]] = {}
-    for r in tracer.filter(layer="cpu", event="hysteresis_dwell"):
-        out.setdefault(r.node, []).append(r)
-    return out
-
-
 def _dwell_overlap(
     dwells: dict[int, list[TraceRecord]], node: int, t0: float, t1: float
 ) -> float:
@@ -133,22 +131,192 @@ def _dwell_overlap(
     return total
 
 
-def _first_by_key(
-    records: list[TraceRecord], *key_fields: str
-) -> dict[tuple, TraceRecord]:
-    """Index records by ``(node, *key_fields)``, keeping the
-    chronologically first.
+# ------------------------------------------------------------------ legs
+#: LAPI-layer events on the target of one active message
+_LAPI_RX = ("hdr_handler", "msg_complete", "cmpl_done", "cmpl_inline",
+            "cmpl_queued_to_thread", "cmpl_thread_run")
+#: native frame kinds that carry message payload (vs control frames)
+_DATA_LEGS = ("eager", "rdata")
 
-    LAPI message numbers and Pipes frame ids are numbered per origin, so
-    a receive-side index must include the record's ``src`` field: on
-    more than two nodes, messages from different senders share numbers.
-    """
-    out: dict[tuple, TraceRecord] = {}
+
+def _first(records: list[TraceRecord], event: str) -> Optional[TraceRecord]:
     for r in records:
-        key = tuple(r.fields.get(f) for f in key_fields)
-        if None not in key:
-            out.setdefault((r.node, *key), r)
-    return out
+        if r.event == event:
+            return r
+    return None
+
+
+class Leg:
+    """One LAPI active message or native frame and the records it left.
+
+    The single place where a send is paired with its receive side.
+    Records belong to a leg by ``(node, src, number, mid)``: the number
+    is the LAPI ``msg`` or the Pipes ``fid`` (both numbered per origin,
+    so on more than two nodes the receive side needs ``src``); LAPI
+    completion hand-offs carry no ``src`` and match on
+    ``(node, number, mid)``, and a native data frame's completion is the
+    MPCI ``msg_complete`` with its ``mid`` on the destination.
+
+    Each Fig 10 mark is the chronologically first record of its kind,
+    ``None`` while the capture does not hold it.  ``intr_us`` is the
+    hysteresis dwell inside the dispatch window (arrival to header
+    handler; to completion on native frames) and ``switch_us`` the
+    switch into the completion thread; consumers do their own
+    arithmetic with them.
+    """
+
+    __slots__ = ("send", "kind", "src", "dst", "number", "mid", "tx", "rx",
+                 "t_hdr", "t_asm", "t_done", "queued", "marks", "records",
+                 "intr_us", "switch_us")
+
+    def __init__(self, send: TraceRecord, index: dict, switches: dict,
+                 dwells: dict):
+        f = send.fields
+        self.send = send
+        self.src = src = send.node
+        self.mid = mid = f.get("mid")
+        self.t_hdr = self.t_asm = self.t_done = None
+        self.queued: Optional[TraceRecord] = None
+        #: completion hand-off records other than ``queued``
+        self.marks: list[TraceRecord] = []
+        self.switch_us = 0.0
+        if send.layer == "lapi":
+            self.kind, field = "lapi", "msg"
+            self.dst = dst = f["tgt"]
+        else:
+            self.kind, field = "pipes", "fid"
+            self.dst = dst = f["dst"]
+        self.number = num = f.get(field)
+        self.tx = index.get((field, "tx", src, None, num, mid), [])
+        got = index.get((field, "rx", dst, src, num, mid), [])
+        self.rx = [r for r in got if r.event == "pkt_rx"]
+        self.records = [send, *self.tx, *got]
+        if self.kind == "lapi":
+            hdr = _first(got, "hdr_handler")
+            asm = _first(got, "msg_complete")
+            done = _first(got, "cmpl_done")
+            self.t_hdr = hdr.time if hdr else None
+            self.t_asm = asm.time if asm else None
+            self.t_done = done.time if done else None
+            cmpl = index.get((field, "rx", dst, None, num, mid), [])
+            self.queued = _first(cmpl, "cmpl_queued_to_thread")
+            self.marks = [r for r in cmpl if r.event != "cmpl_queued_to_thread"]
+            self.records += cmpl
+            if self.t_asm is not None and self.t_done is not None:
+                # the switch into the completion thread, if one was
+                # charged while this message sat between assembly and its
+                # done mark (zero on the enhanced variant and whenever the
+                # thread was already hot)
+                for r in switches.get(dst, ()):
+                    if self.t_asm <= r.time <= self.t_done:
+                        self.switch_us = min(r.fields["cost_us"],
+                                             self.t_done - self.t_asm)
+                        break
+            window_end = self.t_hdr
+        else:
+            if f.get("t") in _DATA_LEGS and mid is not None:
+                done = index.get(("mid", dst, mid), [])
+                if done:
+                    # native completion is inline in the dispatcher
+                    self.t_asm = self.t_done = done[0].time
+                    self.records += done
+            window_end = self.t_asm
+        # the receive-side hysteresis dwell (native ISR; a LAPI message
+        # sees one only when both stacks share the node) is carved out of
+        # the dispatch window
+        t_rx = self.t_rx
+        self.intr_us = 0.0
+        if t_rx is not None and window_end is not None:
+            self.intr_us = min(_dwell_overlap(dwells, dst, t_rx, window_end),
+                               window_end - t_rx)
+
+    @property
+    def t_tx(self) -> Optional[float]:
+        return self.tx[0].time if self.tx else None
+
+    @property
+    def t_rx(self) -> Optional[float]:
+        return self.rx[0].time if self.rx else None
+
+    @property
+    def complete(self) -> bool:
+        """Every mark of the leg's Fig 10 phases is in the capture."""
+        return (None not in (self.t_tx, self.t_rx, self.t_asm, self.t_done)
+                and (self.kind == "pipes" or self.t_hdr is not None))
+
+
+def build_legs(tracer: Tracer) -> list[Leg]:
+    """Every ``amsend``/``frame_send`` of the capture as a :class:`Leg`,
+    in capture order, from one indexed pass over the records."""
+    sends: list[TraceRecord] = []
+    index: dict[tuple, list[TraceRecord]] = {}
+    switches: dict[int, list[TraceRecord]] = {}
+    dwells: dict[int, list[TraceRecord]] = {}
+    for r in tracer.records:
+        layer, event, f = r.layer, r.event, r.fields
+        if layer == "adapter":
+            if event == "pkt_tx" or event == "pkt_rx":
+                side = "tx" if event == "pkt_tx" else "rx"
+                for field in ("msg", "fid"):
+                    if f.get(field) is not None:
+                        key = (field, side, r.node, f.get("src"), f[field],
+                               f.get("mid"))
+                        index.setdefault(key, []).append(r)
+        elif layer == "lapi":
+            if event == "amsend":
+                sends.append(r)
+            elif event in _LAPI_RX:
+                key = ("msg", "rx", r.node, f.get("src"), f.get("msg"),
+                       f.get("mid"))
+                index.setdefault(key, []).append(r)
+        elif layer == "pipes":
+            if event == "frame_send":
+                sends.append(r)
+        elif layer == "mpci":
+            if event == "msg_complete":
+                index.setdefault(("mid", r.node, f.get("mid")), []).append(r)
+        elif layer == "cpu":
+            if event == "ctx_switch" and f.get("to") == "cmpl":
+                switches.setdefault(r.node, []).append(r)
+            elif event == "hysteresis_dwell":
+                dwells.setdefault(r.node, []).append(r)
+    return [Leg(s, index, switches, dwells) for s in sends]
+
+
+def _breakdown(leg: Leg) -> Breakdown:
+    f = leg.send.fields
+    start, intr, sw = leg.send.time, leg.intr_us, leg.switch_us
+    t_tx, t_rx = leg.t_tx, leg.t_rx
+    if leg.t_hdr is None:
+        # native frames: per-packet processing and reordering copies
+        # fill the whole delivery window
+        hdr_us, copy_us = 0.0, (leg.t_asm - t_rx) - intr
+    else:
+        hdr_us, copy_us = (leg.t_hdr - t_rx) - intr, leg.t_asm - leg.t_hdr
+    return Breakdown(
+        src=leg.src,
+        dst=leg.dst,
+        key=leg.number if leg.kind == "lapi" else f["sid"],
+        bytes=f.get("bytes", 0),
+        start=start,
+        end=leg.t_done,
+        phases={
+            "send_overhead": t_tx - start,
+            "wire": t_rx - t_tx,
+            "interrupt": intr,
+            "hdr_handler": hdr_us,
+            "copy": copy_us,
+            "thread_switch": sw,
+            "completion": leg.t_done - leg.t_asm - sw,
+        },
+        mid=leg.mid,
+    )
+
+
+def _breakdowns(tracer: Tracer, allow_truncated: bool, kind: str) -> list[Breakdown]:
+    _check_dropped(tracer, allow_truncated)
+    return [_breakdown(leg) for leg in build_legs(tracer)
+            if leg.kind == kind and leg.complete]
 
 
 def lapi_breakdowns(
@@ -160,67 +328,7 @@ def lapi_breakdowns(
     target — MPI data messages and the thin-MPCI control messages alike
     (filter on ``bytes`` or count to isolate the data path).
     """
-    _check_dropped(tracer, allow_truncated)
-    pkt_tx = _first_by_key(tracer.filter(layer="adapter", event="pkt_tx"), "msg")
-    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"),
-                           "src", "msg")
-    hdr = _first_by_key(tracer.filter(layer="lapi", event="hdr_handler"),
-                        "src", "msg")
-    done_copy = _first_by_key(tracer.filter(layer="lapi", event="msg_complete"),
-                              "src", "msg")
-    cmpl = _first_by_key(tracer.filter(layer="lapi", event="cmpl_done"),
-                         "src", "msg")
-    # context switches into the completion-handler thread, per node
-    switches: dict[int, list[TraceRecord]] = {}
-    for r in tracer.filter(layer="cpu", event="ctx_switch", to="cmpl"):
-        switches.setdefault(r.node, []).append(r)
-    dwells = _dwells_by_node(tracer)
-
-    out: list[Breakdown] = []
-    for send in tracer.filter(layer="lapi", event="amsend"):
-        msg = send.fields["msg"]
-        dst = send.fields["tgt"]
-        t_tx = pkt_tx.get((send.node, msg))
-        t_rx = pkt_rx.get((dst, send.node, msg))
-        t_hdr = hdr.get((dst, send.node, msg))
-        t_asm = done_copy.get((dst, send.node, msg))
-        t_done = cmpl.get((dst, send.node, msg))
-        if None in (t_tx, t_rx, t_hdr, t_asm, t_done):
-            continue  # still in flight (or truncated away)
-        # the switch into the completion thread, if one was charged while
-        # this message sat between assembly and its done mark (zero on
-        # the enhanced variant and whenever the thread was already hot)
-        switch_us = 0.0
-        for r in switches.get(dst, ()):
-            if t_asm.time <= r.time <= t_done.time:
-                switch_us = min(r.fields["cost_us"], t_done.time - t_asm.time)
-                break
-        # LAPI's own ISR has no hysteresis, but a LAPI message can still
-        # be delayed by a dwell when both stacks share the node (rare) —
-        # carve the dwell out of the dispatch-delay window
-        hdr_us = t_hdr.time - t_rx.time
-        intr_us = min(_dwell_overlap(dwells, dst, t_rx.time, t_hdr.time), hdr_us)
-        out.append(
-            Breakdown(
-                src=send.node,
-                dst=dst,
-                key=msg,
-                bytes=send.fields.get("bytes", 0),
-                start=send.time,
-                end=t_done.time,
-                phases={
-                    "send_overhead": t_tx.time - send.time,
-                    "wire": t_rx.time - t_tx.time,
-                    "interrupt": intr_us,
-                    "hdr_handler": hdr_us - intr_us,
-                    "copy": t_asm.time - t_hdr.time,
-                    "thread_switch": switch_us,
-                    "completion": t_done.time - t_asm.time - switch_us,
-                },
-                mid=send.fields.get("mid"),
-            )
-        )
-    return out
+    return _breakdowns(tracer, allow_truncated, "lapi")
 
 
 def pipes_breakdowns(
@@ -231,54 +339,11 @@ def pipes_breakdowns(
     Frames are matched to their MPCI completion through the
     cluster-unique message id the frame metadata carries, so only
     eager/rdata frames (the ones that complete a message) produce
-    entries; bare control frames do not.
+    entries; bare control frames do not.  In interrupt mode the
+    delivery window includes the ISR's hysteresis dwells (Fig 13); they
+    are the ``interrupt`` phase, not part of ``copy``.
     """
-    _check_dropped(tracer, allow_truncated)
-    pkt_tx = _first_by_key(tracer.filter(layer="adapter", event="pkt_tx"), "fid")
-    pkt_rx = _first_by_key(tracer.filter(layer="adapter", event="pkt_rx"),
-                           "src", "fid")
-    complete = _first_by_key(tracer.filter(layer="mpci", event="msg_complete"),
-                             "mid")
-    dwells = _dwells_by_node(tracer)
-
-    out: list[Breakdown] = []
-    for send in tracer.filter(layer="pipes", event="frame_send"):
-        if send.fields.get("t") not in ("eager", "rdata"):
-            continue
-        fid = send.fields["fid"]
-        sid = send.fields["sid"]
-        dst = send.fields["dst"]
-        t_tx = pkt_tx.get((send.node, fid))
-        t_rx = pkt_rx.get((dst, send.node, fid))
-        t_done = complete.get((dst, send.fields.get("mid")))
-        if None in (t_tx, t_rx, t_done):
-            continue
-        # In interrupt mode the receive-side delivery window includes the
-        # ISR's hysteresis dwells (Fig 13); report them as their own
-        # phase instead of folding them into ``copy``.
-        copy_us = t_done.time - t_rx.time
-        intr_us = min(_dwell_overlap(dwells, dst, t_rx.time, t_done.time), copy_us)
-        out.append(
-            Breakdown(
-                src=send.node,
-                dst=dst,
-                key=sid,
-                bytes=send.fields.get("bytes", 0),
-                start=send.time,
-                end=t_done.time,
-                phases={
-                    "send_overhead": t_tx.time - send.time,
-                    "wire": t_rx.time - t_tx.time,
-                    "interrupt": intr_us,
-                    "hdr_handler": 0.0,
-                    "copy": copy_us - intr_us,
-                    "thread_switch": 0.0,
-                    "completion": 0.0,
-                },
-                mid=send.fields.get("mid"),
-            )
-        )
-    return out
+    return _breakdowns(tracer, allow_truncated, "pipes")
 
 
 def summarize(breakdowns: list[Breakdown]) -> dict:
@@ -322,7 +387,9 @@ def capture(
     """Run a traced 2-node ping-pong; returns the finished cluster.
 
     The single capture entry point shared by the Fig 10/13 benches and
-    the fault campaigns.  ``mode`` selects receive progress:
+    the fault campaigns; the program is the latency benches' own
+    :func:`repro.bench.harness.pingpong_program`, without warmup.
+    ``mode`` selects receive progress:
 
     ``"polling"``
         blocking send/recv ping-pong; progress made inside MPI calls.
@@ -338,6 +405,7 @@ def capture(
     trees.  ``fault_plan`` injects a :class:`repro.faults.FaultPlan`,
     whose events appear as ``fault``-layer instants in the capture.
     """
+    from repro.bench.harness import pingpong_program
     from repro.cluster import SPCluster
     from repro.machine import MachineParams
 
@@ -353,50 +421,7 @@ def capture(
         seed=seed, trace=True, interrupt_mode=(mode == "interrupt"),
         fault_plan=fault_plan,
     )
-
-    if mode == "interrupt":
-        import numpy as np
-
-        def program(comm, rank, size):
-            if rank == 1:
-                bufs = [np.zeros(msg_size, dtype=np.uint8) for _ in range(reps)]
-                reqs = []
-                for i in range(reps):
-                    r = yield from comm.irecv(bufs[i], source=0)
-                    reqs.append(r)
-                yield from comm.barrier()
-                for i in range(reps):
-                    marker = (i % 255) + 1
-                    # spin on memory contents — NOT on MPI calls
-                    while bufs[i][-1] != marker:
-                        yield from comm.backend.cpu.execute(
-                            "user", comm.backend.params.poll_check_us
-                        )
-                    yield from comm.send(bytes([marker]) * msg_size, dest=0)
-                return None
-            buf = bytearray(msg_size)
-            yield from comm.barrier()
-            for i in range(reps):
-                marker = (i % 255) + 1
-                yield from comm.send(bytes([marker]) * msg_size, dest=1)
-                yield from comm.recv(buf, source=1)
-            return None
-    else:
-        payload = bytes(msg_size)
-
-        def program(comm, rank, size):
-            buf = bytearray(msg_size)
-            yield from comm.barrier()
-            for _ in range(reps):
-                if rank == 0:
-                    yield from comm.send(payload, dest=1)
-                    yield from comm.recv(buf, source=1)
-                else:
-                    yield from comm.recv(buf, source=0)
-                    yield from comm.send(payload, dest=0)
-            return None
-
-    cluster.run(program)
+    cluster.run(pingpong_program(msg_size, reps, interrupt=(mode == "interrupt")))
     return cluster
 
 

@@ -12,7 +12,9 @@ message, a tree of :class:`Span` s:
 
 * the **root** spans the whole MPI-level exchange (eager data, or the
   rendezvous rts → rts_ack/cts → rdata → bfree conversation);
-* one **leg** per LAPI active message / native MPCI frame;
+* one **leg** per LAPI active message / native MPCI frame, drawn from
+  the same :class:`~repro.obs.breakdown.Leg` records the breakdowns
+  read (this module pairs no records itself);
 * **leaf** spans under each leg mirror the Fig 10 phase partition
   exactly (``send_overhead``/``wire``/``interrupt``/``hdr_handler``/
   ``copy``/``thread_switch``/``completion``), so the sum of a tree's
@@ -38,16 +40,13 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.obs.breakdown import _check_dropped, _dwell_overlap, _dwells_by_node
+from repro.obs.breakdown import _DATA_LEGS, Leg, _check_dropped, build_legs
 from repro.trace import TraceRecord, Tracer
 
 __all__ = ["MessageTree", "Span", "build_span_trees", "render_text"]
 
 #: logical actor tracks a span can live on
 TRACKS = ("user", "dispatcher", "cmpl", "wire")
-
-#: leg kinds that move message payload (vs pure control traffic)
-_DATA_LEGS = ("eager", "rdata")
 
 
 class Span:
@@ -135,227 +134,86 @@ def _actor_of(thread: Optional[str]) -> str:
     return "user"
 
 
-def _take(pool: list[TraceRecord], used: dict[int, bool], node: Optional[int],
-          events: Optional[tuple[str, ...]], **field_eq: Any) -> list[TraceRecord]:
-    """Claim every unused record matching node, event set + field equality.
-
-    The event filter matters: per-node counters (LAPI msg numbers, pipe
-    frame ids) can coincide across directions of the same message, so a
-    leg may only claim the events that belong to its side of the wire.
-    """
-    out = []
-    for r in pool:
-        if used[id(r)]:
-            continue
-        if node is not None and r.node != node:
-            continue
-        if events is not None and r.event not in events:
-            continue
-        if any(r.fields.get(k) != v for k, v in field_eq.items()):
-            continue
-        used[id(r)] = True
-        out.append(r)
-    return out
-
-
 def _instant(leg: Span, r: TraceRecord, track: Optional[str] = None) -> None:
     leg.add(Span(r.event, r.node, track or _actor_of(r.fields.get("thr")),
                  r.time, r.time, args=dict(r.fields)))
 
 
-def _phase_leaves(
-    leg: Span,
-    *,
-    src: int,
-    dst: int,
-    t_send: float,
-    send_thr: Optional[str],
-    t_tx: Optional[float],
-    t_rx: Optional[float],
-    t_hdr: Optional[float],
-    t_asm: Optional[float],
-    t_done: Optional[float],
-    switch_us: float,
-    intr_us: float,
-    cmpl_track: str,
-) -> None:
-    """Emit the telescoping Fig 10 phase leaves under ``leg``.
+def _phase_leaves(span: Span, leg: Leg) -> None:
+    """Emit the telescoping Fig 10 phase leaves of ``leg`` under ``span``.
 
-    ``None`` timestamps truncate the chain (partial legs of in-flight
+    Missing marks truncate the chain (partial legs of in-flight
     messages); emitted leaves always telescope so their durations sum to
     the covered interval exactly.
     """
-    leg.add(Span("send_overhead", src, _actor_of(send_thr), t_send,
-                 t_tx if t_tx is not None else t_send))
+    src, dst, t_send = leg.src, leg.dst, leg.send.time
+    t_tx, t_rx, t_hdr, t_asm, t_done = (leg.t_tx, leg.t_rx, leg.t_hdr,
+                                        leg.t_asm, leg.t_done)
+    intr_us, switch_us = leg.intr_us, leg.switch_us
+    cmpl_track = "cmpl" if leg.queued is not None else "dispatcher"
+    span.add(Span("send_overhead", src, _actor_of(leg.send.fields.get("thr")),
+                  t_send, t_tx if t_tx is not None else t_send))
     if t_tx is None:
         return
-    leg.add(Span("wire", None, "wire", t_tx, t_rx if t_rx is not None else t_tx))
+    span.add(Span("wire", None, "wire", t_tx, t_rx if t_rx is not None else t_tx))
     if t_rx is None:
         return
     if t_hdr is not None:
-        leg.add(Span("interrupt", dst, "dispatcher", t_rx, t_rx + intr_us))
-        leg.add(Span("hdr_handler", dst, "dispatcher", t_rx + intr_us, t_hdr))
+        span.add(Span("interrupt", dst, "dispatcher", t_rx, t_rx + intr_us))
+        span.add(Span("hdr_handler", dst, "dispatcher", t_rx + intr_us, t_hdr))
         if t_asm is None:
             return
-        leg.add(Span("copy", dst, "dispatcher", t_hdr, t_asm))
+        span.add(Span("copy", dst, "dispatcher", t_hdr, t_asm))
     else:
         # native frames have no header-handler mark: the whole
         # delivery window is interrupt dwell + per-packet copies
         if t_asm is None:
             return
-        leg.add(Span("interrupt", dst, "dispatcher", t_rx, t_rx + intr_us))
-        leg.add(Span("copy", dst, "dispatcher", t_rx + intr_us, t_asm))
+        span.add(Span("interrupt", dst, "dispatcher", t_rx, t_rx + intr_us))
+        span.add(Span("copy", dst, "dispatcher", t_rx + intr_us, t_asm))
     if t_done is None or t_done == t_asm:
         return
-    leg.add(Span("thread_switch", dst, cmpl_track, t_asm, t_asm + switch_us))
-    leg.add(Span("completion", dst, cmpl_track, t_asm + switch_us, t_done))
+    span.add(Span("thread_switch", dst, cmpl_track, t_asm, t_asm + switch_us))
+    span.add(Span("completion", dst, cmpl_track, t_asm + switch_us, t_done))
 
 
-def _first(records: list[TraceRecord]) -> Optional[TraceRecord]:
-    return records[0] if records else None
-
-
-# ----------------------------------------------------------- leg builders
-def _build_lapi_leg(
-    send: TraceRecord,
-    recs: list[TraceRecord],
-    used: dict[int, bool],
-    switches: dict[int, list[TraceRecord]],
-    dwells: dict[int, list[TraceRecord]],
-) -> Span:
-    """One leg per LAPI active message (keyed by origin msg number)."""
-    src, msg = send.node, send.fields["msg"]
-    dst = send.fields["tgt"]
-    name = send.fields.get("hh", "lapi")
-    if name.startswith("mpi_"):
-        name = name[len("mpi_"):]
-
-    pkt_tx = _take(recs, used, src, ("pkt_tx",), msg=msg)
-    rx_events = ("pkt_rx", "hdr_handler", "msg_complete", "cmpl_done",
-                 "cmpl_inline", "cmpl_queued_to_thread", "cmpl_thread_run")
-    dst_recs = _take(recs, used, dst, rx_events, msg=msg)
-    pkt_rx = [r for r in dst_recs if r.event == "pkt_rx"]
-    hdr = _first([r for r in dst_recs if r.event == "hdr_handler"])
-    asm = _first([r for r in dst_recs if r.event == "msg_complete"])
-    done = _first([r for r in dst_recs if r.event == "cmpl_done"])
-    queued = _first([r for r in dst_recs if r.event == "cmpl_queued_to_thread"])
-    rest = [r for r in dst_recs
-            if r.event not in ("pkt_rx", "hdr_handler", "msg_complete",
-                               "cmpl_done", "cmpl_queued_to_thread")]
-
-    t_tx = pkt_tx[0].time if pkt_tx else None
-    t_rx = pkt_rx[0].time if pkt_rx else None
-    t_hdr = hdr.time if hdr else None
-    t_asm = asm.time if asm else None
-    t_done = done.time if done else None
-
-    switch_us = 0.0
-    if t_asm is not None and t_done is not None:
-        for r in switches.get(dst, ()):
-            if t_asm <= r.time <= t_done:
-                switch_us = min(r.fields["cost_us"], t_done - t_asm)
-                break
-    intr_us = 0.0
-    if t_rx is not None and t_hdr is not None:
-        intr_us = min(_dwell_overlap(dwells, dst, t_rx, t_hdr), t_hdr - t_rx)
-
-    end = t_done if t_done is not None else max(
-        [send.time] + [t for t in (t_tx, t_rx, t_hdr, t_asm) if t is not None]
-    )
-    leg = Span(name, src, _actor_of(send.fields.get("thr")), send.time, end,
-               args={"mid": send.fields.get("mid"), "msg": msg, "src": src,
-                     "dst": dst, "bytes": send.fields.get("bytes", 0),
-                     "kind": "lapi"})
-    if t_done is None:
-        leg.args["partial"] = True
-    _phase_leaves(
-        leg, src=src, dst=dst, t_send=send.time,
-        send_thr=send.fields.get("thr"),
-        t_tx=t_tx, t_rx=t_rx, t_hdr=t_hdr, t_asm=t_asm, t_done=t_done,
-        switch_us=switch_us, intr_us=intr_us,
-        cmpl_track="cmpl" if queued is not None else "dispatcher",
-    )
+def _leg_span(leg: Leg) -> Span:
+    """Draw one leg: its Fig 10 phase leaves, then its instants."""
+    send, lapi = leg.send, leg.kind == "lapi"
+    f = send.fields
+    if lapi:
+        name = f.get("hh", "lapi")
+        if name.startswith("mpi_"):
+            name = name[len("mpi_"):]
+        partial = leg.t_done is None
+    else:
+        name = f.get("t", "frame")
+        partial = leg.t_asm is None if name in _DATA_LEGS else leg.t_rx is None
+    marks = [t for t in (leg.t_tx, leg.t_rx, leg.t_hdr, leg.t_asm) if t is not None]
+    end = leg.t_done if lapi and leg.t_done is not None else max([send.time] + marks)
+    span = Span(name, leg.src, _actor_of(f.get("thr")), send.time, end,
+                args={"mid": leg.mid, "msg" if lapi else "fid": leg.number,
+                      "src": leg.src, "dst": leg.dst, "bytes": f.get("bytes", 0),
+                      "kind": leg.kind})
+    if partial:
+        span.args["partial"] = True
+    _phase_leaves(span, leg)
     # per-packet instants beyond the first, and completion hand-off marks
-    for r in pkt_tx[1:]:
-        _instant(leg, r, "user")
-    for r in pkt_rx[1:]:
-        _instant(leg, r, "dispatcher")
-    if queued is not None:
-        _instant(leg, queued)
-    for r in rest:
-        _instant(leg, r)
-    return leg
-
-
-def _build_pipes_leg(
-    send: TraceRecord,
-    recs: list[TraceRecord],
-    used: dict[int, bool],
-    dwells: dict[int, list[TraceRecord]],
-) -> Span:
-    """One leg per native MPCI frame (keyed by frame id)."""
-    src, fid = send.node, send.fields["fid"]
-    dst = send.fields["dst"]
-    name = send.fields.get("t", "frame")
-
-    pkt_tx = _take(recs, used, src, ("pkt_tx",), fid=fid)
-    pkt_rx = _take(recs, used, dst, ("pkt_rx",), fid=fid)
-
-    t_tx = pkt_tx[0].time if pkt_tx else None
-    t_rx = pkt_rx[0].time if pkt_rx else None
-    t_asm = None
-    if name in _DATA_LEGS:
-        sid = send.fields.get("sid")
-        asm = _first(
-            _take(recs, used, dst, ("msg_complete",), sid=sid)
-            if sid is not None else []
-        )
-        t_asm = asm.time if asm else None
-
-    intr_us = 0.0
-    if t_rx is not None and t_asm is not None:
-        intr_us = min(_dwell_overlap(dwells, dst, t_rx, t_asm), t_asm - t_rx)
-
-    end = max([send.time]
-              + [t for t in (t_tx, t_rx, t_asm) if t is not None])
-    leg = Span(name, src, _actor_of(send.fields.get("thr")), send.time, end,
-               args={"mid": send.fields.get("mid"), "fid": fid, "src": src,
-                     "dst": dst, "bytes": send.fields.get("bytes", 0),
-                     "kind": "pipes"})
-    if name in _DATA_LEGS and t_asm is None:
-        leg.args["partial"] = True
-    elif name not in _DATA_LEGS and t_rx is None:
-        leg.args["partial"] = True
-    _phase_leaves(
-        leg, src=src, dst=dst, t_send=send.time,
-        send_thr=send.fields.get("thr"),
-        t_tx=t_tx, t_rx=t_rx, t_hdr=None, t_asm=t_asm, t_done=t_asm,
-        switch_us=0.0, intr_us=intr_us, cmpl_track="dispatcher",
-    )
-    for r in pkt_tx[1:]:
-        _instant(leg, r, "user")
-    for r in pkt_rx[1:]:
-        _instant(leg, r, "dispatcher")
-    return leg
+    for r in leg.tx[1:]:
+        _instant(span, r, "user")
+    for r in leg.rx[1:]:
+        _instant(span, r, "dispatcher")
+    if leg.queued is not None:
+        _instant(span, leg.queued)
+    for r in leg.marks:
+        _instant(span, r)
+    return span
 
 
 # ------------------------------------------------------------ tree build
-def _build_tree(
-    mid: str,
-    recs: list[TraceRecord],
-    switches: dict[int, list[TraceRecord]],
-    dwells: dict[int, list[TraceRecord]],
-) -> MessageTree:
-    used: dict[int, bool] = {id(r): False for r in recs}
-
-    legs: list[Span] = []
-    for r in recs:
-        if r.layer == "lapi" and r.event == "amsend":
-            used[id(r)] = True
-            legs.append(_build_lapi_leg(r, recs, used, switches, dwells))
-        elif r.layer == "pipes" and r.event == "frame_send":
-            used[id(r)] = True
-            legs.append(_build_pipes_leg(r, recs, used, dwells))
+def _build_tree(mid: str, recs: list[TraceRecord], built: list[Leg]) -> MessageTree:
+    used = {id(r) for leg in built for r in leg.records}
+    legs = [_leg_span(leg) for leg in built]
     legs.sort(key=lambda s: (s.start, s.args.get("msg", s.args.get("fid", 0))))
 
     start = min([s.start for s in legs] + [r.time for r in recs]) if recs else 0.0
@@ -371,7 +229,7 @@ def _build_tree(
     # attach leftover records to the leg whose interval contains them;
     # true orphans hang off the root and are reported
     for r in recs:
-        if used[id(r)]:
+        if id(r) in used:
             continue
         home = None
         for leg in legs:
@@ -379,7 +237,6 @@ def _build_tree(
             if r.node in nodes and leg.start <= r.time <= leg.end:
                 home = leg
                 break
-        used[id(r)] = True
         if home is not None:
             _instant(home, r)
         else:
@@ -404,10 +261,10 @@ def build_span_trees(
         mid = r.fields.get("mid")
         if mid is not None:
             by_mid.setdefault(mid, []).append(r)
-    switches: dict[int, list[TraceRecord]] = {}
-    for r in tracer.filter(layer="cpu", event="ctx_switch", to="cmpl"):
-        switches.setdefault(r.node, []).append(r)
-    dwells = _dwells_by_node(tracer)
+    legs: dict[str, list[Leg]] = {}
+    for leg in build_legs(tracer):
+        if leg.mid is not None:
+            legs.setdefault(leg.mid, []).append(leg)
 
     def _mid_key(m: str):
         task, _, sid = m.partition(":")
@@ -417,7 +274,7 @@ def build_span_trees(
             return (1 << 30, m)
 
     return {
-        mid: _build_tree(mid, by_mid[mid], switches, dwells)
+        mid: _build_tree(mid, by_mid[mid], legs.get(mid, []))
         for mid in sorted(by_mid, key=_mid_key)
     }
 

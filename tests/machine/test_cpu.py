@@ -119,3 +119,55 @@ def test_zero_cost_execute_is_legal():
 
     p = env.process(proc())
     assert env.run(until=p) == 0.0
+
+
+# ------------------------------------------------- interrupted waiters
+def _queued_then_interrupted(grant_first):
+    """a holds the only core for 5 us, b queues behind it and is
+    interrupted, c queues behind b.  ``grant_first`` interrupts b just
+    after a's release granted it the core, before b could resume."""
+    from repro.sim import Interrupt
+
+    env, cpu, stats = make_cpu(ctx_switch_us=0.0)
+    log = []
+    procs = {}
+
+    def a():
+        yield from cpu.execute("a", 5.0)
+        if grant_first:
+            procs["b"].interrupt("late")
+
+    def b():
+        try:
+            yield from cpu.execute("b", 1.0)
+        except Interrupt:
+            log.append(("b interrupted", env.now))
+            return
+        log.append(("b ran", env.now))
+
+    def c():
+        yield from cpu.execute("c", 2.0)
+        log.append(("c ran", env.now))
+
+    def interrupter():
+        yield env.timeout(1.0)
+        procs["b"].interrupt("early")
+
+    env.process(a())
+    procs["b"] = env.process(b())
+    env.process(c())
+    if not grant_first:
+        env.process(interrupter())
+    env.run()
+    return cpu, log
+
+
+@pytest.mark.parametrize("grant_first", [False, True],
+                         ids=["while-queued", "after-grant"])
+def test_interrupted_waiter_does_not_keep_the_core(grant_first):
+    cpu, log = _queued_then_interrupted(grant_first)
+    when = 5.0 if grant_first else 1.0
+    assert log == [("b interrupted", when), ("c ran", 7.0)]
+    core = cpu._cores[0]
+    assert not core.busy and core.running is None
+    assert not cpu._waiters

@@ -1,7 +1,11 @@
 """Causal span trees: coverage, determinism, and breakdown consistency."""
 
+from collections import Counter
+
 import pytest
 
+from repro.cluster import SPCluster
+from repro.faults import builtin_plan
 from repro.obs import (
     TruncatedTraceError,
     build_span_trees,
@@ -16,40 +20,72 @@ from repro.trace import Tracer
 LAPI_STACKS = ("lapi-base", "lapi-counters", "lapi-enhanced")
 ALL_STACKS = LAPI_STACKS + ("native",)
 SIZES = (256, 16384)  # eager and rendezvous
+#: inputs where pairing records with their leg can go wrong:
+#: interrupt-driven delivery, repeated pkt_rx/pkt_tx records under
+#: duplicates and losses, and a 4-node fan-in whose senders share
+#: message numbers at the receiver
+CASES = SIZES + ("interrupt", "duplicate-storm", "loss-burst", "fan-in")
+
+
+def _fan_in(stack):
+    """Ranks 1-3 each send 5000 B to rank 0, staggered by 3 us."""
+    cluster = SPCluster(4, stack=stack, trace=True)
+
+    def program(comm, rank, size):
+        yield from comm.barrier()
+        if rank == 0:
+            reqs = []
+            for src in range(1, size):
+                r = yield from comm.irecv(bytearray(5000), source=src)
+                reqs.append(r)
+            yield from comm.waitall(reqs)
+        else:
+            yield from comm.backend.cpu.execute("user", 3.0 * rank)
+            yield from comm.send(bytes([rank]) * 5000, dest=0)
+
+    cluster.run(program)
+    return cluster
+
+
+def _capture(stack, case):
+    if case in SIZES:
+        return capture(stack, case, reps=3)
+    if case == "interrupt":
+        return capture(stack, 256, mode="interrupt", reps=3)
+    if case == "fan-in":
+        return _fan_in(stack)
+    return capture(stack, 3000, reps=3, seed=3, fault_plan=builtin_plan(case))
 
 
 @pytest.fixture(scope="module")
 def captures():
-    return {
-        (stack, size): capture(stack, size, reps=3)
-        for stack in ALL_STACKS
-        for size in SIZES
-    }
+    return {(stack, case): _capture(stack, case)
+            for stack in ALL_STACKS for case in CASES}
 
 
 @pytest.mark.parametrize("stack", ALL_STACKS)
-@pytest.mark.parametrize("size", SIZES)
-def test_no_orphans_and_complete(captures, stack, size):
-    trees = build_span_trees(captures[stack, size].tracer)
+@pytest.mark.parametrize("case", CASES)
+def test_no_orphans_and_complete(captures, stack, case):
+    trees = build_span_trees(captures[stack, case].tracer)
     assert trees
     for mid, tree in trees.items():
-        assert tree.orphans == [], (stack, size, mid, tree.orphans)
-        assert tree.complete, (stack, size, mid)
+        assert tree.orphans == [], (stack, case, mid, tree.orphans)
+        assert tree.complete, (stack, case, mid)
 
 
 @pytest.mark.parametrize("stack", ALL_STACKS)
-@pytest.mark.parametrize("size", SIZES)
-def test_every_mid_record_lands_in_a_tree(captures, stack, size):
-    tracer = captures[stack, size].tracer
+@pytest.mark.parametrize("case", CASES)
+def test_every_mid_record_lands_in_a_tree(captures, stack, case):
+    tracer = captures[stack, case].tracer
     trees = build_span_trees(tracer)
     with_mid = [r for r in tracer.records if "mid" in r.fields]
     assert sum(len(t.records) for t in trees.values()) == len(with_mid)
 
 
 @pytest.mark.parametrize("stack", ALL_STACKS)
-@pytest.mark.parametrize("size", SIZES)
-def test_reconstruction_is_byte_identical(captures, stack, size):
-    tracer = captures[stack, size].tracer
+@pytest.mark.parametrize("case", CASES)
+def test_reconstruction_is_byte_identical(captures, stack, case):
+    tracer = captures[stack, case].tracer
     first = render_text(build_span_trees(tracer))
     second = render_text(build_span_trees(tracer))
     assert first == second
@@ -57,9 +93,9 @@ def test_reconstruction_is_byte_identical(captures, stack, size):
 
 
 @pytest.mark.parametrize("stack", ALL_STACKS)
-@pytest.mark.parametrize("size", SIZES)
-def test_span_wellformedness(captures, stack, size):
-    trees = build_span_trees(captures[stack, size].tracer)
+@pytest.mark.parametrize("case", CASES)
+def test_span_wellformedness(captures, stack, case):
+    trees = build_span_trees(captures[stack, case].tracer)
     for tree in trees.values():
         for span, _depth in tree.root.walk():
             assert span.end >= span.start, span
@@ -69,10 +105,10 @@ def test_span_wellformedness(captures, stack, size):
 
 
 @pytest.mark.parametrize("stack", LAPI_STACKS)
-@pytest.mark.parametrize("size", SIZES)
-def test_leaf_sum_matches_lapi_breakdowns(captures, stack, size):
+@pytest.mark.parametrize("case", CASES)
+def test_leaf_sum_matches_lapi_breakdowns(captures, stack, case):
     """Per message, leaf span durations sum to the Fig 10 total."""
-    tracer = captures[stack, size].tracer
+    tracer = captures[stack, case].tracer
     trees = build_span_trees(tracer)
     by_mid = {}
     for b in lapi_breakdowns(tracer):
@@ -82,11 +118,11 @@ def test_leaf_sum_matches_lapi_breakdowns(captures, stack, size):
         assert trees[mid].leaf_total == pytest.approx(total, abs=1e-9), mid
 
 
-@pytest.mark.parametrize("size", SIZES)
-def test_leaf_sum_matches_pipes_breakdowns(captures, size):
+@pytest.mark.parametrize("case", CASES)
+def test_leaf_sum_matches_pipes_breakdowns(captures, case):
     """Native: the data legs' leaves sum to the Fig 10 total (control
     frames — cts, bfree — have wire time the breakdown never counts)."""
-    tracer = captures["native", size].tracer
+    tracer = captures["native", case].tracer
     trees = build_span_trees(tracer)
     by_mid = {}
     for b in pipes_breakdowns(tracer):
@@ -100,6 +136,33 @@ def test_leaf_sum_matches_pipes_breakdowns(captures, size):
             for s in leg.leaves()
         )
         assert data_leaves == pytest.approx(total, abs=1e-9), mid
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_hard_cases_exercise_what_they_claim(captures, stack):
+    """The extra inputs really repeat packet records and reuse message
+    numbers across senders, so the assertions above are not vacuous."""
+    def repeats(tracer, event):
+        """Most records of one data packet (acks carry no ``seq``)."""
+        seen = Counter((r.node, r.fields.get("src"), r.fields.get("dst"),
+                        r.fields["seq"])
+                       for r in tracer.filter(layer="adapter", event=event)
+                       if "seq" in r.fields)
+        return max(seen.values())
+
+    dup = captures[stack, "duplicate-storm"].tracer
+    assert repeats(dup, "pkt_rx") > 1
+    loss = captures[stack, "loss-burst"].tracer
+    assert loss.filter(layer="fault", event="drop")
+    assert repeats(loss, "pkt_tx") > 1
+
+    number = "fid" if stack == "native" else "msg"
+    senders = {}
+    for r in captures[stack, "fan-in"].tracer.filter(
+            node=0, layer="adapter", event="pkt_rx"):
+        if number in r.fields:
+            senders.setdefault(r.fields[number], set()).add(r.fields["src"])
+    assert max(len(s) for s in senders.values()) > 1
 
 
 def test_rendezvous_has_handshake_legs(captures):
