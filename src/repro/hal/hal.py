@@ -99,6 +99,9 @@ class Hal:
     def wait_rx(self) -> Event:
         return self.adapter.wait_rx()
 
+    def arm_rx(self, ev: Event) -> None:
+        self.adapter.arm_rx(ev)
+
     @property
     def rx_pending(self) -> int:
         return self.adapter.rx_pending

@@ -22,7 +22,7 @@ from repro.lapi.counters import Counter
 from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
-from repro.sim import AnyOf, Environment, Event, Store
+from repro.sim import Environment, Event, Store
 from repro.transport import ReliableFlows, wake_all
 
 __all__ = ["Lapi", "LapiError"]
@@ -472,13 +472,14 @@ class Lapi:
         self._check_not_in_header_handler("LAPI_Waitcntr")
         yield from self.cpu.execute(thread, self.params.lapi_param_check_us)
         yield from self.poll_until(thread, lambda: cntr.value >= val,
-                                   cntr.changed)
+                                   cntr.arm)
         cntr.sub(val)
 
     def poll_until(self, thread: str, done: Callable[[], bool],
-                   wake: Callable[[], Event]) -> Generator:
+                   arm: Callable[[Event], None]) -> Generator:
         """Poll until ``done()``: drain while packets are pending, else
-        pay one poll check and sleep until a packet or ``wake()``."""
+        pay one poll check and sleep until a packet or the source that
+        ``arm`` parks a wake event on fires."""
         while not done():
             if self.hal.rx_pending:
                 yield from self.dispatch(thread)
@@ -489,7 +490,7 @@ class Lapi:
                 break
             if self.hal.rx_pending:
                 continue
-            yield AnyOf(self.env, [self.hal.wait_rx(), wake()])
+            yield self.env.park(self.hal.arm_rx, arm)
 
     def fence(self, thread: str) -> Generator:
         """LAPI_Fence: wait until all messages this task initiated have

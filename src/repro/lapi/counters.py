@@ -45,8 +45,13 @@ class Counter:
     def changed(self) -> Event:
         """One-shot event fired at the counter's next state change."""
         ev = self.env.event()
-        self._waiters.append(ev)
+        self.arm(ev)
         return ev
+
+    def arm(self, ev: Event) -> None:
+        """Fire ``ev`` (unless it has fired already) at the counter's
+        next state change."""
+        self._waiters.append(ev)
 
     def subscribe(self, fn) -> None:
         """Register a persistent synchronous callback on every change."""

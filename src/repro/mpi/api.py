@@ -209,9 +209,7 @@ class Communicator:
             progressed = yield from self.backend.progress("user")
             if progressed:
                 continue
-            yield self.env.any_of(
-                [self.backend.wait_rx()] + [r.changed() for r in reqs]
-            )
+            yield self.env.park(self.backend.hal.arm_rx, *[r.arm for r in reqs])
 
     def sendrecv(self, sendbuf: Any, dest: int, recvbuf: Any, source: int,
                  sendtag: int = 0, recvtag: int = ANY_TAG) -> Generator:
@@ -242,7 +240,7 @@ class Communicator:
             status = yield from self.iprobe(source, tag)
             if status is not None:
                 return status
-            yield self.backend.wait_rx()
+            yield self.backend.hal.wait_rx()
 
     # -------------------------------------------------------- collectives
     def barrier(self) -> Generator:

@@ -95,9 +95,14 @@ class PendingSend:
         self.waiter: Optional[Event] = None
         self.recv_slot: Optional[int] = None
 
+    def arm(self, ev: Event) -> None:
+        """Fire ``ev`` (unless it has fired already) when the ack lands."""
+        self.waiter = ev
+
 
 class Backend:
-    """Common state + helpers; concrete backends add the transport."""
+    """Common state + helpers; concrete backends add the transport and
+    set ``hal``, the node's packet layer."""
 
     name = "abstract"
 
@@ -214,9 +219,6 @@ class Backend:
         raise NotImplementedError
 
     def progress(self, thread: str) -> Generator:
-        raise NotImplementedError
-
-    def wait_rx(self) -> Event:
         raise NotImplementedError
 
     def set_interrupt_mode(self, enabled: bool) -> None:
@@ -404,14 +406,15 @@ class Backend:
     def wait(self, thread: str, req: Request) -> Generator:
         """Drive progress until ``req`` completes (polling discipline)."""
         yield from self.poll_until(
-            thread, lambda: req.done or req.needs_finalize, req.changed)
+            thread, lambda: req.done or req.needs_finalize, req.arm)
         if req.needs_finalize:
             yield from req.run_finalizer(thread)
         return req.status
 
-    def poll_until(self, thread: str, done, wake) -> Generator:
+    def poll_until(self, thread: str, done, arm) -> Generator:
         """Make progress until ``done()``; after a pass that found nothing,
-        pay one poll check, then sleep until a packet or ``wake()``."""
+        pay one poll check, then sleep until a packet or the source that
+        ``arm`` parks a wake event on fires."""
         while not done():
             progressed = yield from self.progress(thread)
             if done() or progressed:
@@ -419,7 +422,7 @@ class Backend:
             self.stats.polls += 1
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if not done():
-                yield self.env.any_of([self.wait_rx(), wake()])
+                yield self.env.park(self.hal.arm_rx, arm)
 
     def test(self, thread: str, req: Request) -> Generator:
         """Single progress pass; returns True if the request completed."""

@@ -30,7 +30,7 @@ from repro.lapi.buffers import ByteTarget, NullTarget
 from repro.lapi.counters import Counter
 from repro.mpi.backends.base import Backend, InMsg, PendingSend
 from repro.mpi.protocol import EAGER
-from repro.sim import Event, Store
+from repro.sim import Store
 
 __all__ = ["LapiBackend", "VARIANTS"]
 
@@ -113,6 +113,7 @@ class LapiBackend(Backend):
         if variant != "enhanced" and lapi.enhanced:
             raise ValueError(f"{variant} variant must run on stock LAPI")
         self.lapi = lapi
+        self.hal = lapi.hal
         self.variant = variant
         self.name = f"lapi-{variant}"
 
@@ -152,9 +153,6 @@ class LapiBackend(Backend):
     # ---------------------------------------------------------- plumbing
     def progress(self, thread: str) -> Generator:
         return (yield from self.lapi.dispatch(thread))
-
-    def wait_rx(self) -> Event:
-        return self.lapi.hal.wait_rx()
 
     def set_interrupt_mode(self, enabled: bool) -> None:
         self.lapi.senv("INTERRUPT_SET", enabled)
@@ -205,11 +203,7 @@ class LapiBackend(Backend):
         return req
 
     def _wait_acked(self, thread: str, ps: PendingSend) -> Generator:
-        def wake() -> Event:
-            ps.waiter = self.env.event()
-            return ps.waiter
-
-        yield from self.poll_until(thread, lambda: ps.acked, wake)
+        yield from self.poll_until(thread, lambda: ps.acked, ps.arm)
 
     def _launch_rdata(self, thread: str, ps: PendingSend) -> Generator:
         """Second rendezvous phase: ship the message like an eager send."""

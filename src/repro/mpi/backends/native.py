@@ -43,6 +43,7 @@ class NativeBackend(Backend):
                  pipes: PipeEndpoint):
         super().__init__(env, cpu, params, stats, task_id, num_tasks)
         self.pipes = pipes
+        self.hal = pipes.hal
         pipes.on_packet = self._on_packet
         self._fids = itertools.count()
         #: open receive frames keyed (src_task, fid)
@@ -58,15 +59,12 @@ class NativeBackend(Backend):
 
     # ---------------------------------------------------------- plumbing
     def progress(self, thread: str) -> Generator:
-        before = self.pipes.hal.rx_pending
+        before = self.hal.rx_pending
         yield from self.pipes.dispatch(thread)
         return before
 
-    def wait_rx(self) -> Event:
-        return self.pipes.hal.wait_rx()
-
     def set_interrupt_mode(self, enabled: bool) -> None:
-        adapter = self.pipes.hal.adapter
+        adapter = self.hal.adapter
         if enabled:
             adapter.set_interrupt_handler(lambda _a: self._isr())
         adapter.set_interrupt_mode(enabled)
@@ -88,7 +86,7 @@ class NativeBackend(Backend):
                 self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
                                  thr=thread)
             yield from self.cpu.execute(thread, self._hysteresis_us)
-            if self.pipes.hal.rx_pending == 0:
+            if self.hal.rx_pending == 0:
                 self._hysteresis_us = p.hysteresis_initial_us
                 return
             # traffic kept coming: process it and dwell longer next round
@@ -124,9 +122,7 @@ class NativeBackend(Backend):
         bytes block further eager sends."""
         while self._tx_bytes_queued + size > self.params.pipe_buffer_bytes and \
                 self._tx_bytes_queued > 0:
-            ev = self.env.event()
-            self._tx_waiters.append(ev)
-            yield self.env.any_of([ev, self.wait_rx()])
+            yield self.env.park(self._tx_waiters.append, self.hal.arm_rx)
             yield from self.progress("user")
         self._tx_bytes_queued += size
 
@@ -172,8 +168,6 @@ class NativeBackend(Backend):
         )
         if not ps.req.done:
             self._complete_when(out_ev, ps.req, size)
-        elif not out_ev.triggered:
-            out_ev.defuse()  # nobody needs it
         self.pending_sends.pop(ps.uhdr["sid"], None)
 
     # ----------------------------------------------------------- receives

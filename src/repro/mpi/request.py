@@ -100,14 +100,13 @@ class Request:
             raise RuntimeError("finalizer did not complete the request")
 
     # ------------------------------------------------------------------
-    def changed(self) -> Event:
-        """One-shot event fired at the next state change."""
-        ev = self.env.event()
-        if self.done or self.needs_finalize:
-            ev.succeed()
-        else:
+    def arm(self, ev: Event) -> None:
+        """Fire ``ev`` at the next state change, or at once (unless it
+        has fired already) if the request is done or needs finalizing."""
+        if not (self.done or self.needs_finalize):
             self._waiters.append(ev)
-        return ev
+        elif not ev.triggered:
+            ev.succeed()
 
     def _notify(self) -> None:
         waiters, self._waiters = self._waiters, []

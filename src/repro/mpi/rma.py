@@ -66,7 +66,6 @@ from repro.lapi.counters import Counter
 from repro.mpci import ANY_SOURCE
 from repro.mpi.datatypes import as_bytes, as_writable
 from repro.mpi.request import Request
-from repro.sim import AnyOf
 
 __all__ = [
     "LapiRmaEngine",
@@ -368,11 +367,10 @@ class Window:
     def task_of(self, rank: int) -> int:
         return self.comm.group[rank]
 
-    def sync_event(self):
-        """One-shot event fired at the next RMA state change."""
-        ev = self.comm.env.event()
+    def arm(self, ev) -> None:
+        """Fire ``ev`` (unless it has fired already) at the next RMA
+        state change."""
         self._wake_evs.append(ev)
-        return ev
 
     def _wake(self) -> None:
         evs, self._wake_evs = self._wake_evs, []
@@ -853,7 +851,7 @@ class LapiRmaEngine(_Transport):
         """Drive the dispatcher until ``cond()`` holds (LAPI_Waitcntr
         discipline: works in polling mode, and in interrupt mode via
         the window wake events the ISR-run handlers fire)."""
-        yield from self.lapi.poll_until("user", cond, win.sync_event)
+        yield from self.lapi.poll_until("user", cond, win.arm)
 
     def _flush_deferred(self, win: Window, t: int,
                         hold_last: bool = False):
@@ -1348,7 +1346,7 @@ class NativeRmaEngine(_Transport):
 
     def wait_until(self, win: Window, cond) -> Generator:
         """The MPI wait loop, woken by the window's sync events too."""
-        yield from self.backend.poll_until("user", cond, win.sync_event)
+        yield from self.backend.poll_until("user", cond, win.arm)
 
     # ----------------------------------------------- per-window state
     def open(self, win: Window) -> Generator:
@@ -1480,9 +1478,7 @@ class NativeRmaEngine(_Transport):
                 progressed = yield from be.progress("user")
                 if req.done or req.needs_finalize or progressed:
                     continue
-                ev = self.env.event()
-                st.stop_evs.append(ev)
-                yield AnyOf(self.env, [be.wait_rx(), req.changed(), ev])
+                yield self.env.park(be.hal.arm_rx, req.arm, st.stop_evs.append)
             status = yield from comm.wait(req)
             hdr, payload = _dec(memoryview(buf)[: status.count])
             yield from self._serve(win, status.source, hdr, payload)

@@ -264,16 +264,21 @@ class Adapter:
     def rx_pending(self) -> int:
         return len(self._host_rx)
 
+    def arm_rx(self, ev: Event) -> None:
+        """Fire ``ev`` when the next packet lands in the host FIFO, or at
+        once (unless it has fired already) if packets are pending."""
+        if not self._host_rx:
+            self._rx_waiters.append(ev)
+        elif not ev.triggered:
+            ev.succeed()
+
     def wait_rx(self) -> Event:
         """Event that fires when the next packet lands in the host FIFO.
 
         Fires immediately if packets are already pending.
         """
         ev = self.env.event()
-        if self._host_rx:
-            ev.succeed()
-        else:
-            self._rx_waiters.append(ev)
+        self.arm_rx(ev)
         return ev
 
     # ------------------------------------------------------- interrupts

@@ -71,11 +71,9 @@ class TruncatedTraceError(RuntimeError):
     """The tracer dropped records; a breakdown would silently lie."""
 
 
-_warned_truncated = False
-
-
-def _check_dropped(tracer: Tracer, allow_truncated: bool) -> None:
-    global _warned_truncated
+def _check_dropped(tracer: Tracer, allow_truncated: bool, caller: str) -> None:
+    """Refuse a truncated capture, or warn that ``caller``'s results are
+    partial; repeats are deduplicated by the ``warnings`` filters."""
     if tracer.dropped == 0:
         return
     if not allow_truncated:
@@ -85,17 +83,15 @@ def _check_dropped(tracer: Tracer, allow_truncated: bool) -> None:
             dominant = f"; layer {layer!r} dominated the loss ({n}/{tracer.dropped})"
         raise TruncatedTraceError(
             f"tracer dropped {tracer.dropped} record(s) (capacity "
-            f"{tracer.capacity}){dominant}; breakdowns would be incomplete — "
+            f"{tracer.capacity}){dominant}; {caller} would be incomplete — "
             "raise the capacity or pass allow_truncated=True"
         )
-    if not _warned_truncated:
-        _warned_truncated = True
-        warnings.warn(
-            f"computing breakdowns from a truncated trace "
-            f"({tracer.dropped} dropped record(s)); results may be partial",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    warnings.warn(
+        f"{caller} read a truncated trace "
+        f"({tracer.dropped} dropped record(s)); results may be partial",
+        RuntimeWarning,
+        stacklevel=3,
+    )
 
 
 @dataclass
@@ -313,8 +309,7 @@ def _breakdown(leg: Leg) -> Breakdown:
     )
 
 
-def _breakdowns(tracer: Tracer, allow_truncated: bool, kind: str) -> list[Breakdown]:
-    _check_dropped(tracer, allow_truncated)
+def _breakdowns(tracer: Tracer, kind: str) -> list[Breakdown]:
     return [_breakdown(leg) for leg in build_legs(tracer)
             if leg.kind == kind and leg.complete]
 
@@ -328,7 +323,8 @@ def lapi_breakdowns(
     target — MPI data messages and the thin-MPCI control messages alike
     (filter on ``bytes`` or count to isolate the data path).
     """
-    return _breakdowns(tracer, allow_truncated, "lapi")
+    _check_dropped(tracer, allow_truncated, "lapi_breakdowns")
+    return _breakdowns(tracer, "lapi")
 
 
 def pipes_breakdowns(
@@ -343,7 +339,8 @@ def pipes_breakdowns(
     delivery window includes the ISR's hysteresis dwells (Fig 13); they
     are the ``interrupt`` phase, not part of ``copy``.
     """
-    return _breakdowns(tracer, allow_truncated, "pipes")
+    _check_dropped(tracer, allow_truncated, "pipes_breakdowns")
+    return _breakdowns(tracer, "pipes")
 
 
 def summarize(breakdowns: list[Breakdown]) -> dict:

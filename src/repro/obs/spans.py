@@ -255,7 +255,7 @@ def build_span_trees(
     dropped records (unless ``allow_truncated``), since a truncated
     capture cannot promise complete trees.
     """
-    _check_dropped(tracer, allow_truncated)
+    _check_dropped(tracer, allow_truncated, "build_span_trees")
     by_mid: dict[str, list[TraceRecord]] = {}
     for r in tracer.records:
         mid = r.fields.get("mid")

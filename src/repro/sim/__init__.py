@@ -6,7 +6,8 @@ a float in microseconds.
 
 Public surface:
 
-- :class:`Environment` — event loop, clock, process spawning.
+- :class:`Environment` — event loop, clock, process spawning;
+  :meth:`Environment.park` sleeps on several wake sources at once.
 - :class:`Event` — one-shot triggerable event carrying a value or error.
 - :class:`Timeout` — event that fires after a delay.
 - :class:`Process` — a running generator; itself an event that triggers

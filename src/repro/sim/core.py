@@ -32,6 +32,9 @@ Design notes
   generator chain never unwinds.  It is counted exactly like the
   queued timeout it replaces, so every trajectory and ``sim.*`` count
   is unchanged.
+* :meth:`Environment.park` is the sleep on several wake sources: they
+  all hold one trigger event, so the sources that lose the race queue
+  nothing, where an ``AnyOf`` over fresh events popped every loser.
 """
 
 from __future__ import annotations
@@ -107,16 +110,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        return self._processed
-
-    @property
-    def ok(self) -> bool:
-        if not self._triggered:
-            raise SimulationError("value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if not self._triggered:
             raise SimulationError("value not yet available")
@@ -155,10 +148,6 @@ class Event:
             env._urgent.append((env._now, priority, seq, self))
         return self
 
-    def defuse(self) -> None:
-        """Mark a failure as handled so it will not crash the simulation."""
-        self._defused = True
-
     # -- callback plumbing -------------------------------------------------
     def _add_callback(self, fn: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
@@ -177,26 +166,10 @@ class Event:
 
 
 class Timeout(Event):
-    """Event that fires ``delay`` time units after creation."""
+    """Event that fires ``delay`` time units after creation; build it
+    with :meth:`Environment.timeout`."""
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._triggered = True
-        self._processed = False
-        self._defused = False
-        self.delay = delay
-        seq = env._seq = env._seq + 1
-        if delay == 0.0:
-            env._normal.append((env._now, NORMAL, seq, self))
-        else:
-            _heappush(env._queue, (env._now + delay, NORMAL, seq, self))
 
 
 class _AutoEvent(Event):
@@ -503,8 +476,8 @@ class Environment:
 
     # -- factories ---------------------------------------------------------
     # The two hottest factories build their objects inline (one frame,
-    # no type.__call__ dispatch); keep them in sync with Event.__init__
-    # and Timeout.__init__, which remain the documented construction path.
+    # no type.__call__ dispatch); keep ``event`` in sync with
+    # Event.__init__.  ``timeout`` is the only way a Timeout is built.
     def event(self) -> Event:
         ev = Event.__new__(Event)
         ev.env = self
@@ -543,6 +516,26 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
+
+    def park(self, *arms: Callable[[Event], None]) -> Event:
+        """Sleep on several wake sources; yield the result at once.
+
+        Every ``arm`` gets the same one-shot trigger event: a source
+        whose condition already holds fires it, the others park it in
+        their waiter lists, where it stays inert once triggered (each
+        notifier skips a triggered event), so the losing sources queue
+        nothing.  The trigger's pop relays to the returned event and the
+        process resumes on that second pop, at the same instant: the
+        hop an ``AnyOf`` takes from its first constituent, which keeps
+        same-instant ties in order.  The returned event is pooled
+        (:meth:`auto_event`); the process resumes with the trigger.
+        """
+        wake = self.auto_event()
+        trigger = self.event()
+        trigger.callbacks.append(wake.succeed)
+        for arm in arms:
+            arm(trigger)
+        return wake
 
     # -- pooled kernel-internal events -------------------------------------
     def call_later(self, delay: float, fn: Callable[[Event], None],

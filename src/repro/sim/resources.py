@@ -29,9 +29,6 @@ class Store:
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
 
-    def __len__(self) -> int:
-        return len(self._items)
-
     def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Callable, Generator, NamedTuple, Optional
 
-from repro.sim import AnyOf, Event
+from repro.sim import Event
 from repro.transport.reliability import ReceiverLedger, SenderWindow
 
 __all__ = ["FlowsView", "ReliableFlows", "wake_all"]
@@ -120,10 +120,10 @@ class ReliableFlows:
     def dispatch_until(self, thread: str, done: Callable[[], bool],
                        waiters: Optional[list[Event]] = None) -> Generator:
         """Drive the owner's ``dispatch`` until ``done()``.  Between
-        passes park on the adapter FIFO and, if ``waiters`` is given, on
-        a fresh event in it: a concurrent dispatcher (MPCI poller, ISR)
-        may pop the packet that settles ``done()`` before we wake, in
-        which case no further rx ever arrives here."""
+        passes park on the adapter FIFO and, if ``waiters`` is given, in
+        that list too: a concurrent dispatcher (MPCI poller, ISR) may pop
+        the packet that settles ``done()`` before we wake, in which case
+        no further rx ever arrives here."""
         while not done():
             yield from self.owner.dispatch(thread)
             if done():
@@ -131,9 +131,7 @@ class ReliableFlows:
             if waiters is None:
                 yield self.hal.wait_rx()
             else:
-                ev = self.env.event()
-                waiters.append(ev)
-                yield AnyOf(self.env, [ev, self.hal.wait_rx()])
+                yield self.env.park(waiters.append, self.hal.arm_rx)
 
     # ------------------------------------------------------------ sending
     def admit(self, thread: str, dst: int, header: dict[str, Any],

@@ -20,7 +20,9 @@ def test_request_completion_sets_status_and_fires_waiters():
     fired = []
 
     def waiter():
-        yield req.changed()
+        ev = env.event()
+        req.arm(ev)
+        yield ev
         fired.append(env.now)
 
     env.process(waiter())
@@ -43,8 +45,11 @@ def test_changed_after_done_fires_immediately():
     env = Environment()
     req = Request(env, "send")
     req.complete()
-    ev = req.changed()
+    ev = env.event()
+    req.arm(ev)
     assert ev.triggered
+    req.arm(ev)  # armed again once fired: left alone, no double trigger
+    assert req._waiters == []
 
 
 def test_finalizer_flow():

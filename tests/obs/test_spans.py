@@ -1,5 +1,6 @@
 """Causal span trees: coverage, determinism, and breakdown consistency."""
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -221,7 +222,33 @@ def test_truncated_capture_refuses_and_names_the_layer():
     t.emit(0, "pipes", "frame_send", fid=0, dst=1, bytes=4)
     t.emit(0, "lapi", "pkt_tx", msg=0, bytes=4)
     assert t.dropped_by_layer == {"lapi": 2, "pipes": 1}
-    with pytest.raises(TruncatedTraceError, match="lapi"):
+    with pytest.raises(TruncatedTraceError, match="lapi.*build_span_trees"):
         build_span_trees(t)
     # tolerated when asked — partial trees beat no trees
-    build_span_trees(t, allow_truncated=True)
+    with pytest.warns(RuntimeWarning, match="^build_span_trees read"):
+        build_span_trees(t, allow_truncated=True)
+
+
+def test_every_truncated_capture_warns():
+    """Nothing in the library remembers an earlier warning: under
+    ``always`` two truncated captures in one process each warn, and the
+    message names the function that read them."""
+
+    class _Clock:
+        now = 0.0
+
+    def truncated():
+        t = Tracer(_Clock(), capacity=1)
+        t.emit(0, "lapi", "amsend", msg=0, tgt=1, bytes=4)
+        t.emit(0, "lapi", "amsend", msg=1, tgt=1, bytes=4)
+        return t
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        build_span_trees(truncated(), allow_truncated=True)
+        build_span_trees(truncated(), allow_truncated=True)
+        lapi_breakdowns(truncated(), allow_truncated=True)
+    assert [str(w.message).split(" read ")[0] for w in seen] == [
+        "build_span_trees", "build_span_trees", "lapi_breakdowns"]
+    assert all(w.category is RuntimeWarning and w.filename == __file__
+               for w in seen)
