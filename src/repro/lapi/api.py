@@ -22,6 +22,7 @@ from repro.lapi.counters import Counter
 from repro.machine.cpu import Cpu
 from repro.machine.params import MachineParams
 from repro.machine.stats import NodeStats
+from repro.obs.registry import Counter as MetricCounter
 from repro.sim import Environment, Event, Store
 from repro.transport import ReliableFlows, wake_all
 
@@ -176,6 +177,13 @@ class Lapi:
         self._m_get = self.metrics.counter("lapi.get")
         self._m_rmw = self.metrics.counter("lapi.rmw")
         self._m_dispatch = self.metrics.counter("lapi.dispatch_pkts")
+        #: header-handler name -> its ``lapi.hdr.<name>`` counter, made
+        #: on the handler's first run
+        self._m_hdr: dict[str, MetricCounter] = {}
+        self._c_polls = self.metrics.counter("polls")
+        self._c_hdr_handlers = self.metrics.counter("hdr_handlers_run")
+        self._c_cmpl_inline = self.metrics.counter("cmpl_handlers_inline")
+        self._c_cmpl_threaded = self.metrics.counter("cmpl_handlers_threaded")
         self.flows = ReliableFlows(
             self, layer="lapi", data_kind=_DATA, ack_kind=_ACK,
             deliver=self._deliver, after_ack=self._wake_quiesced,
@@ -316,7 +324,7 @@ class Lapi:
             raise LapiError("LAPI does not loop back to self")
         yield from self.cpu.execute(thread, self.params.lapi_call_us)
         msg_no = next(self._msg_nos)
-        self._m_amsend.incr()
+        self._m_amsend.value += 1
         if self.stats.tracer is not None:
             self.stats.trace("lapi", "amsend", tgt=tgt, hh=hdr_hdl, msg=msg_no,
                              bytes=len(udata), mid=mid, thr=thread)
@@ -348,7 +356,7 @@ class Lapi:
         mid: Optional[str] = None,
     ) -> Generator:
         """LAPI_Put: one-sided write into a published remote buffer."""
-        self._m_put.incr()
+        self._m_put.value += 1
         yield from self.amsend(
             thread,
             tgt,
@@ -379,7 +387,7 @@ class Lapi:
         request has been served — i.e. the reply data has been captured,
         so the target may safely modify the buffer afterwards.
         """
-        self._m_get.incr()
+        self._m_get.value += 1
         gid = next(self._get_ids)
         self._pending_get[gid] = (memoryview(local_buf), org_cntr)
         yield from self.amsend(
@@ -419,7 +427,7 @@ class Lapi:
             raise LapiError(f"unknown Rmw op {op!r}")
         if tgt == self.task_id:
             raise LapiError("LAPI does not loop back to self")
-        self._m_rmw.incr()
+        self._m_rmw.value += 1
         rid = next(self._rmw_ids)
         self._pending_rmw[rid] = {"done": False, "prev": None, "cntr": prev_cntr}
         yield from self.amsend(
@@ -484,7 +492,7 @@ class Lapi:
             if self.hal.rx_pending:
                 yield from self.dispatch(thread)
                 continue
-            self.stats.polls += 1
+            self._c_polls.value += 1
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if done():
                 break
@@ -577,7 +585,8 @@ class Lapi:
         each packet exactly once, and no per-packet state is shared
         across a yield point.  Returns the number of packets processed.
         """
-        yield from self.flows.stall(thread)
+        if self.flows.faults is not None:
+            yield from self.flows.stall(thread)
         return (yield from self.flows.drain(thread))
 
     def _isr(self) -> Generator:
@@ -606,15 +615,19 @@ class Lapi:
             asm.mid = header.get("mid")
             asm.tgt_cntr_id = header.get("tgt_cntr")
             asm.want_cmpl = bool(header.get("want_cmpl"))
+            hh = header["hh"]
             try:
-                handler = self._handlers[header["hh"]]
+                handler = self._handlers[hh]
             except KeyError:
                 raise LapiError(
                     f"task {self.task_id}: message names unregistered header "
-                    f"handler {header['hh']!r}"
+                    f"handler {hh!r}"
                 ) from None
-            self.stats.hdr_handlers_run += 1
-            self.metrics.counter("lapi.hdr." + header["hh"]).incr()
+            self._c_hdr_handlers.value += 1
+            counter = self._m_hdr.get(hh)
+            if counter is None:
+                counter = self._m_hdr[hh] = self.metrics.counter("lapi.hdr." + hh)
+            counter.value += 1
             yield from self.cpu.execute(thread, p.lapi_hdr_hdl_us)
             self._in_hdr_handler = True
             try:
@@ -627,9 +640,9 @@ class Lapi:
             asm.target = target if target is not None else NullTarget()
             asm.cmpl_fn = cmpl_fn
             asm.cmpl_data = cmpl_data
-            asm.cmpl_inline_always = header["hh"] in self._inline_always
+            asm.cmpl_inline_always = hh in self._inline_always
             if self.stats.tracer is not None:
-                self.stats.trace("lapi", "hdr_handler", hh=header["hh"], src=src,
+                self.stats.trace("lapi", "hdr_handler", hh=hh, src=src,
                                  msg=header["msg"], mlen=asm.mlen, mid=asm.mid,
                                  thr=thread)
             # flush chunks that raced ahead of the header packet
@@ -662,7 +675,7 @@ class Lapi:
                              bytes=asm.mlen, mid=asm.mid, thr=thread)
         if asm.cmpl_fn is not None:
             if self.enhanced or asm.cmpl_inline_always:
-                self.stats.cmpl_handlers_inline += 1
+                self._c_cmpl_inline.value += 1
                 if self.stats.tracer is not None:
                     self.stats.trace("lapi", "cmpl_inline", msg=asm.msg_no,
                                      mid=asm.mid, thr=thread)
@@ -670,7 +683,7 @@ class Lapi:
                 yield from asm.cmpl_fn(self, thread, asm.cmpl_data)
                 yield from self._post_complete(thread, asm)
             else:
-                self.stats.cmpl_handlers_threaded += 1
+                self._c_cmpl_threaded.value += 1
                 if self.stats.tracer is not None:
                     self.stats.trace("lapi", "cmpl_queued_to_thread", msg=asm.msg_no,
                                      mid=asm.mid, thr=thread)

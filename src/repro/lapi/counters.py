@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, live_waiters
 
 __all__ = ["Counter"]
 
@@ -50,7 +50,9 @@ class Counter:
 
     def arm(self, ev: Event) -> None:
         """Fire ``ev`` (unless it has fired already) at the counter's
-        next state change."""
+        next state change.  Triggers that another source fired first are
+        dropped here."""
+        self._waiters = live_waiters(self._waiters)
         self._waiters.append(ev)
 
     def subscribe(self, fn) -> None:

@@ -77,6 +77,12 @@ class Cpu:
         #: fault hook (:class:`repro.faults.FaultPoint`) for node-slowdown
         #: events; installed by the cluster, ``None`` otherwise
         self.faults = None
+        # the registry counters behind the NodeStats facade, held directly
+        reg = stats.registry
+        self._c_copies = reg.counter("copies")
+        self._c_bytes_copied = reg.counter("bytes_copied")
+        self._c_interrupts = reg.counter("interrupts")
+        self._c_ctx_switches = reg.counter("ctx_switches")
 
     @property
     def cores(self) -> int:
@@ -109,7 +115,11 @@ class Cpu:
                 self.busy_us += total
             finally:
                 core.last_thread = thread
-                self._release(core)
+                if self._waiters:
+                    self._release(core)
+                else:
+                    core.busy = False
+                    core.running = None
             return
 
         core = self._try_acquire(thread)
@@ -132,7 +142,7 @@ class Cpu:
             if self.faults is not None:
                 cost_us = cost_us * self.faults.slowdown(self.env.now)
             total = switch + max(0.0, cost_us)
-            if total > 0.0:
+            if total > 0.0 and not self.env.advance(total):
                 yield self.env.auto_timeout(total)
             self.busy_us += total
         finally:
@@ -141,7 +151,8 @@ class Cpu:
 
     def memcpy(self, thread: str, nbytes: int) -> Generator:
         """Charge a host memory copy of ``nbytes`` and record it."""
-        self.stats.record_copy(nbytes)
+        self._c_copies.value += 1
+        self._c_bytes_copied.value += nbytes
         yield from self.execute(thread, self.params.copy_cost(nbytes))
 
     # ------------------------------------------------------------------
@@ -215,7 +226,7 @@ class Cpu:
                 INTERRUPT_CONTEXT
             ):
                 core.preempted_thread = core.last_thread
-            self.stats.interrupts += 1
+            self._c_interrupts.value += 1
             return self.params.interrupt_overhead_us
 
         if core.last_thread == thread:
@@ -227,7 +238,7 @@ class Cpu:
             return 0.0
         if core.last_thread is None:
             return 0.0
-        self.stats.ctx_switches += 1
+        self._c_ctx_switches.value += 1
         if self.stats.tracer is not None:
             self.stats.trace("cpu", "ctx_switch", to=thread, frm=core.last_thread,
                              cost_us=self.params.ctx_switch_us)

@@ -5,13 +5,13 @@ them to verify *structural* claims (e.g. MPI-LAPI performs strictly
 fewer buffer copies per byte than the native stack, native MPI takes
 hysteresis dwells in interrupt mode, etc.).
 
-Since the observability PR, :class:`NodeStats` is a compatibility facade
-over a per-node :class:`repro.obs.MetricsRegistry`: the historical
-attribute counters (``stats.copies += 1`` and friends) are properties
-that read/write registry counters, so the same numbers appear in
-metrics snapshots, ``BENCH_*.json`` artifacts, and ``as_dict()``.
-Layers that need richer metrics (gauges, histograms, namespaced
-counters) reach the registry directly via ``stats.registry``.
+:class:`NodeStats` is a read facade over a per-node
+:class:`repro.obs.MetricsRegistry`: the historical attribute counters
+(``stats.copies`` and friends) are properties over registry counters,
+so the same numbers appear in metrics snapshots, ``BENCH_*.json``
+artifacts, and ``as_dict()``.  Layers count through the registry
+itself: each takes its ``Counter``/``Gauge`` handles from
+``stats.registry`` once and updates their fields inline.
 """
 
 from __future__ import annotations

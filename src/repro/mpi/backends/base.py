@@ -25,6 +25,7 @@ from repro.machine.stats import NodeStats
 from repro.mpci import Envelope, Matcher
 from repro.mpi.protocol import BUFFERED, EAGER, READY, select_protocol
 from repro.mpi.request import Request
+from repro.obs.registry import Counter
 from repro.sim import Environment, Event
 
 __all__ = ["Backend", "InMsg", "MpiFatal", "PendingSend"]
@@ -102,7 +103,8 @@ class PendingSend:
 
 class Backend:
     """Common state + helpers; concrete backends add the transport and
-    set ``hal``, the node's packet layer."""
+    set ``hal``, the node's packet layer, and ``idle``, a call that is
+    True when a :meth:`progress` pass would provably do nothing."""
 
     name = "abstract"
 
@@ -142,9 +144,21 @@ class Backend:
 
         # observability: protocol-selection counters per Table-2 mode,
         # early-arrival occupancy high water, unexpected-queue depth
-        self.metrics = stats.registry
-        self._g_ea = self.metrics.gauge("mpi.ea_bytes")
-        self._g_unexpected = self.metrics.gauge("mpi.unexpected_depth")
+        self.metrics = reg = stats.registry
+        self._g_ea = reg.gauge("mpi.ea_bytes")
+        self._g_unexpected = reg.gauge("mpi.unexpected_depth")
+        #: (protocol, mode) -> its ``mpi.proto.<protocol>.<mode>`` counter,
+        #: made on the pair's first send
+        self._m_proto: dict[tuple[str, str], Counter] = {}
+        # the registry counters behind the NodeStats facade, held directly
+        self._c_polls = reg.counter("polls")
+        self._c_msgs_sent = reg.counter("msgs_sent")
+        self._c_msgs_received = reg.counter("msgs_received")
+        self._c_eager = reg.counter("eager_sends")
+        self._c_rendezvous = reg.counter("rendezvous_started")
+        self._c_early = reg.counter("early_arrivals")
+        self._c_posted = reg.counter("matches_posted")
+        self._c_deferred = reg.counter("deferred_announcements")
 
     # ------------------------------------------------------ buffered mode
     def attach_buffer(self, nbytes: int) -> None:
@@ -185,7 +199,7 @@ class Backend:
             )
         self._ea_used += size
         self._g_ea.set(self._ea_used)
-        self.stats.early_arrivals += 1
+        self._c_early.value += 1
         return bytearray(size)
 
     # ---------------------------------------------------------- helpers
@@ -235,7 +249,11 @@ class Backend:
         req = Request(self.env, "send")
         size = len(data)
         proto = select_protocol(mode, size, p.eager_limit)
-        self.metrics.counter(f"mpi.proto.{proto}.{mode}").incr()
+        counter = self._m_proto.get((proto, mode))
+        if counter is None:
+            counter = self._m_proto[proto, mode] = self.metrics.counter(
+                f"mpi.proto.{proto}.{mode}")
+        counter.value += 1
         sid = next(self._send_ids)
         mseq = self._mseq_next.get(dst_task, 0)
         self._mseq_next[dst_task] = mseq + 1
@@ -244,15 +262,15 @@ class Backend:
             # Fig 8: copy the message into the user-attached buffer first
             self._reserve_attached(size, sid)
             yield from self.cpu.memcpy(thread, size)
-        self.stats.msgs_sent += 1
+        self._c_msgs_sent.value += 1
         hdr = {"ctx": context, "srank": src_rank, "tag": tag, "mseq": mseq,
                "size": size, "mode": mode, "sid": sid,
                "mid": self.mint_mid(sid), "bfree": want_bfree}
         if proto == EAGER:
-            self.stats.eager_sends += 1
+            self._c_eager.value += 1
             hdr["t"] = "eager"
         else:
-            self.stats.rendezvous_started += 1
+            self._c_rendezvous.value += 1
             hdr["t"] = "rts"
         return req, proto, hdr
 
@@ -278,7 +296,7 @@ class Backend:
             # yield in between, or the pair strands
             entry = self.matcher.post(context, src_pattern, tag_pattern, req)
         if entry is None:
-            self.stats.matches_posted += 1
+            self._c_posted.value += 1
             return req
 
         msg = entry[1]
@@ -370,7 +388,7 @@ class Backend:
             if msg.ea_buf is None:
                 req.complete(source=msg.envelope.src, tag=msg.envelope.tag,
                              count=msg.size)
-                self.stats.msgs_received += 1
+                self._c_msgs_received.value += 1
             else:
                 self._finish_from_ea(msg, req)
         if msg.want_bfree:
@@ -389,7 +407,7 @@ class Backend:
         self._ea_used -= msg.size
         self._g_ea.set(self._ea_used)
         req.complete(source=msg.envelope.src, tag=msg.envelope.tag, count=msg.size)
-        self.stats.msgs_received += 1
+        self._c_msgs_received.value += 1
 
     # ------------------------------------------------------------- RMA
     def ensure_rma_engine(self):
@@ -414,12 +432,16 @@ class Backend:
     def poll_until(self, thread: str, done, arm) -> Generator:
         """Make progress until ``done()``; after a pass that found nothing,
         pay one poll check, then sleep until a packet or the source that
-        ``arm`` parks a wake event on fires."""
+        ``arm`` parks a wake event on fires.  A pass that would provably
+        do nothing (``idle()``) is skipped: it would neither change
+        ``done()`` nor report progress."""
+        idle = self.idle
         while not done():
-            progressed = yield from self.progress(thread)
-            if done() or progressed:
-                continue
-            self.stats.polls += 1
+            if not idle():
+                progressed = yield from self.progress(thread)
+                if done() or progressed:
+                    continue
+            self._c_polls.value += 1
             yield from self.cpu.execute(thread, self.params.poll_check_us)
             if not done():
                 yield self.env.park(self.hal.arm_rx, arm)

@@ -114,6 +114,7 @@ class LapiBackend(Backend):
             raise ValueError(f"{variant} variant must run on stock LAPI")
         self.lapi = lapi
         self.hal = lapi.hal
+        self.idle = lapi.flows.idle
         self.variant = variant
         self.name = f"lapi-{variant}"
 
@@ -259,7 +260,7 @@ class LapiBackend(Backend):
         src = msg.src_task
         expected = self._expected.setdefault(src, 0)
         if msg.mseq != expected:
-            self.stats.deferred_announcements += 1
+            self._c_deferred.value += 1
             if self.stats.tracer is not None:
                 self.stats.trace("mpci", "announce_deferred", mseq=msg.mseq,
                                  expected=expected, mid=msg.mid)

@@ -44,6 +44,7 @@ class NativeBackend(Backend):
         super().__init__(env, cpu, params, stats, task_id, num_tasks)
         self.pipes = pipes
         self.hal = pipes.hal
+        self.idle = pipes.idle
         pipes.on_packet = self._on_packet
         self._fids = itertools.count()
         #: open receive frames keyed (src_task, fid)
@@ -56,6 +57,7 @@ class NativeBackend(Backend):
 
         # interrupt-mode state
         self._hysteresis_us = params.hysteresis_initial_us
+        self._c_dwells = self.metrics.counter("hysteresis_dwells")
 
     # ---------------------------------------------------------- plumbing
     def progress(self, thread: str) -> Generator:
@@ -81,7 +83,7 @@ class NativeBackend(Backend):
         yield from self.pipes.dispatch(thread)
         while True:
             # dwell: spin on the CPU hoping more packets arrive
-            self.stats.hysteresis_dwells += 1
+            self._c_dwells.value += 1
             if self.stats.tracer is not None:
                 self.stats.trace("cpu", "hysteresis_dwell", us=self._hysteresis_us,
                                  thr=thread)

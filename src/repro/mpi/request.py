@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Optional
 
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, live_waiters
 
 __all__ = ["Request", "Status"]
 
@@ -102,8 +102,10 @@ class Request:
     # ------------------------------------------------------------------
     def arm(self, ev: Event) -> None:
         """Fire ``ev`` at the next state change, or at once (unless it
-        has fired already) if the request is done or needs finalizing."""
+        has fired already) if the request is done or needs finalizing.
+        Triggers that another source fired first are dropped here."""
         if not (self.done or self.needs_finalize):
+            self._waiters = live_waiters(self._waiters)
             self._waiters.append(ev)
         elif not ev.triggered:
             ev.succeed()

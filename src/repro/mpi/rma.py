@@ -66,6 +66,7 @@ from repro.lapi.counters import Counter
 from repro.mpci import ANY_SOURCE
 from repro.mpi.datatypes import as_bytes, as_writable
 from repro.mpi.request import Request
+from repro.sim import live_waiters
 
 __all__ = [
     "LapiRmaEngine",
@@ -369,7 +370,9 @@ class Window:
 
     def arm(self, ev) -> None:
         """Fire ``ev`` (unless it has fired already) at the next RMA
-        state change."""
+        state change.  Triggers that another source fired first are
+        dropped here."""
+        self._wake_evs = live_waiters(self._wake_evs)
         self._wake_evs.append(ev)
 
     def _wake(self) -> None:

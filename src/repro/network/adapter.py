@@ -89,6 +89,11 @@ class Adapter:
         # receive-FIFO occupancy high water: how close the node came to
         # the overflow drops the reliability layers must then repair
         self._g_rx_depth = reg.gauge("adapter.rx_fifo_depth")
+        # the stage-cost terms of MachineParams.dma_cost/wire_cost (the
+        # params are frozen), so each stage start makes no method call
+        self._dma_setup_us = params.dma_setup_us
+        self._dma_us_per_byte = params.dma_us_per_byte
+        self._wire_us_per_byte = params.wire_us_per_byte
 
         # Stage queues; the head of each is the packet in service.  The
         # send FIFO's head stays in place while its DMA'd packet is held
@@ -98,7 +103,9 @@ class Adapter:
         self._dma_held = False
         self._link_q: deque[Packet] = deque()
         self._sram_rx: deque[Packet] = deque()
-        self._host_rx: deque[Packet] = deque()
+        #: the host receive FIFO: the adapter appends, ``poll`` pops, and
+        #: everyone else only reads it (``rx_pending`` is its length)
+        self.host_rx: deque[Packet] = deque()
         self._rx_waiters: list[Event] = []
         # the admission event of every packet the FIFO takes at once:
         # already processed, so yielding it resumes the sender in place
@@ -137,7 +144,9 @@ class Adapter:
 
     def _start_dma(self) -> None:
         self.env.call_later(
-            self.params.dma_cost(self._send_fifo[0].packet.wire_bytes), self._dma_done)
+            self._dma_setup_us
+            + self._send_fifo[0].packet.wire_bytes * self._dma_us_per_byte,
+            self._dma_done)
 
     def _dma_done(self, _ev: Event) -> None:
         done = self._send_fifo[0].on_dma_done
@@ -163,13 +172,13 @@ class Adapter:
 
     def _start_wire(self) -> None:
         self.env.call_later(
-            self.params.wire_cost(self._link_q[0].wire_bytes), self._wire_done)
+            self._link_q[0].wire_bytes * self._wire_us_per_byte, self._wire_done)
 
     def _wire_done(self, _ev: Event) -> None:
         packet: Packet = self._link_q.popleft()
         packet.route = self.fabric.pick_route(packet.src, packet.dst)
-        self._c_sent.incr()
-        self._c_wire_bytes.incr(packet.wire_bytes)
+        self._c_sent.value += 1
+        self._c_wire_bytes.value += packet.wire_bytes
         if self.stats.tracer is not None:
             self.stats.trace(
                 "adapter", "pkt_tx", dst=packet.dst, route=packet.route,
@@ -200,23 +209,28 @@ class Adapter:
 
     def _start_rx_dma(self) -> None:
         self.env.call_later(
-            self.params.dma_cost(self._sram_rx[0].wire_bytes), self._rx_dma_done)
+            self._dma_setup_us + self._sram_rx[0].wire_bytes * self._dma_us_per_byte,
+            self._rx_dma_done)
 
     def _rx_dma_done(self, _ev: Event) -> None:
         packet: Packet = self._sram_rx.popleft()
         tracer = self.stats.tracer
-        if len(self._host_rx) >= self._fifo_capacity():
+        if len(self.host_rx) >= self._fifo_capacity():
             # Host FIFO overflow: the adapter drops; reliability
             # layers above recover via retransmission.
-            self._c_dropped.incr()
+            self._c_dropped.value += 1
             if tracer is not None:
                 self.stats.trace("adapter", "fifo_drop", src=packet.src,
                                  seq=packet.header.get("seq"),
                                  mid=packet.header.get("mid"))
         else:
-            self._host_rx.append(packet)
-            self._g_rx_depth.set(len(self._host_rx))
-            self._c_received.incr()
+            host_rx = self.host_rx
+            host_rx.append(packet)
+            gauge = self._g_rx_depth
+            depth = gauge.value = len(host_rx)
+            if depth > gauge.high_water:
+                gauge.high_water = depth
+            self._c_received.value += 1
             if tracer is not None:
                 self.stats.trace(
                     "adapter", "pkt_rx", src=packet.src,
@@ -246,7 +260,7 @@ class Adapter:
             yield from self._isr(self)
         finally:
             self._isr_active = False
-            if self._host_rx and self.interrupt_mode and self._isr is not None:
+            if self.host_rx and self.interrupt_mode and self._isr is not None:
                 # Packets landed after the ISR drained and exited.
                 self._isr_active = True
                 self.env.call_later(self.params.interrupt_latency_us,
@@ -256,18 +270,18 @@ class Adapter:
     def poll(self) -> Optional[Packet]:
         """Non-blocking pop of the next received packet (no cost charged;
         the caller accounts its own poll cost)."""
-        if self._host_rx:
-            return self._host_rx.popleft()
+        if self.host_rx:
+            return self.host_rx.popleft()
         return None
 
     @property
     def rx_pending(self) -> int:
-        return len(self._host_rx)
+        return len(self.host_rx)
 
     def arm_rx(self, ev: Event) -> None:
         """Fire ``ev`` when the next packet lands in the host FIFO, or at
         once (unless it has fired already) if packets are pending."""
-        if not self._host_rx:
+        if not self.host_rx:
             self._rx_waiters.append(ev)
         elif not ev.triggered:
             ev.succeed()
@@ -290,7 +304,7 @@ class Adapter:
 
     def set_interrupt_mode(self, enabled: bool) -> None:
         self.interrupt_mode = enabled
-        if enabled and self._host_rx and self._isr is not None and not self._isr_active:
+        if enabled and self.host_rx and self._isr is not None and not self._isr_active:
             self._isr_active = True
             self.env.call_later(self.params.interrupt_latency_us,
                                 self._start_isr)

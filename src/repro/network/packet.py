@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 _pkt_ids = itertools.count()
 
 
-@dataclass(slots=True)
 class Packet:
     """One switch packet.
 
@@ -22,19 +20,21 @@ class Packet:
     data integrity is checked by the tests, not assumed.
     """
 
-    src: int
-    dst: int
-    header: dict[str, Any]
-    payload: bytes
-    header_bytes: int
-    pkt_id: int = field(default_factory=lambda: next(_pkt_ids))
-    route: int = 0
-    #: total bytes serialised onto the link (header + payload), fixed at
-    #: construction: the adapter reads it at every stage of the packet
-    wire_bytes: int = field(init=False)
+    __slots__ = ("src", "dst", "header", "payload", "header_bytes", "pkt_id",
+                 "route", "wire_bytes")
 
-    def __post_init__(self) -> None:
-        self.wire_bytes = self.header_bytes + len(self.payload)
+    def __init__(self, src: int, dst: int, header: dict[str, Any], payload: bytes,
+                 header_bytes: int, pkt_id: Optional[int] = None, route: int = 0):
+        self.src = src
+        self.dst = dst
+        self.header = header
+        self.payload = payload
+        self.header_bytes = header_bytes
+        self.pkt_id = next(_pkt_ids) if pkt_id is None else pkt_id
+        self.route = route
+        #: total bytes serialised onto the link (header + payload), fixed
+        #: at construction: the adapter reads it at every stage
+        self.wire_bytes = header_bytes + len(payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = self.header.get("kind", "?")

@@ -107,7 +107,8 @@ class Histogram:
     def observe(self, x: float) -> None:
         if x < 0:
             raise ValueError(f"{self.name}: negative sample {x}")
-        self.buckets[self.bucket_index(x, self.nbuckets)] += 1
+        # bucket_index, inline: the fabric observes every packet
+        self.buckets[0 if x < 1.0 else min(math.frexp(x)[1], self.nbuckets - 1)] += 1
         self.count += 1
         self.total += x
 

@@ -108,7 +108,7 @@ class PipeEndpoint:
         if dst == self.hal.node_id:
             raise ValueError("pipes do not loop back to self")
         size = len(data)
-        self._m_frames.incr()
+        self._m_frames.value += 1
         if self.stats.tracer is not None:
             self.stats.trace("pipes", "frame_send", fid=fid, dst=dst, bytes=size,
                              sid=meta.get("sid"), t=meta.get("t"), mid=mid,
@@ -139,13 +139,18 @@ class PipeEndpoint:
             yield from self.cpu.execute(thread, self.params.pipe_pkt_us)
             if buffered and ln > 0:
                 # staging copy pipe buffer -> HAL network buffer
-                self._m_staged.incr(ln)
+                self._m_staged.value += ln
                 yield from self.cpu.memcpy(thread, ln)
             yield from self.flows.transmit(
                 thread, dst, header, payload,
                 on_dma_done=on_payload_out if idx == last_idx else None)
 
     # ---------------------------------------------------------- receiving
+    def idle(self) -> bool:
+        """True when :meth:`dispatch` would do nothing now: no packet, no
+        stall hook, and no active drain for a second caller to park on."""
+        return not self._dispatching and self.flows.idle()
+
     def dispatch(self, thread: str) -> Generator:
         """Drain the adapter and process every pending packet.
 
@@ -158,7 +163,8 @@ class PipeEndpoint:
         arrived meanwhile were consumed by the active drain's loop, or
         will wake the caller's own wait loop again).
         """
-        yield from self.flows.stall(thread)
+        if self.flows.faults is not None:
+            yield from self.flows.stall(thread)
         if self._dispatching:
             ev = self.env.event()
             self._dispatch_waiters.append(ev)
@@ -177,7 +183,7 @@ class PipeEndpoint:
         """Stash a new packet and release the in-order prefix to MPCI."""
         if header.get("buffered") and payload:
             # reordering copy HAL buffer -> pipe buffer
-            self._m_reordered.incr(len(payload))
+            self._m_reordered.value += len(payload)
             yield from self.cpu.memcpy(thread, len(payload))
         order = self._order[src]
         order.stash[header["seq"]] = (header, payload)

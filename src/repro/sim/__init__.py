@@ -15,6 +15,8 @@ Public surface:
 - :class:`AnyOf` / :class:`AllOf` — condition events.
 - :class:`Interrupt` — exception thrown into a process by
   :meth:`Process.interrupt`.
+- :func:`live_waiters` — a wake source's waiter list without its fired
+  triggers.
 """
 
 from repro.sim.core import (
@@ -26,6 +28,7 @@ from repro.sim.core import (
     Process,
     SimulationError,
     Timeout,
+    live_waiters,
 )
 from repro.sim.resources import Store
 
@@ -39,4 +42,5 @@ __all__ = [
     "SimulationError",
     "Store",
     "Timeout",
+    "live_waiters",
 ]

@@ -52,6 +52,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "live_waiters",
 ]
 
 _heappush = heapq.heappush
@@ -414,6 +415,17 @@ class AllOf(Condition):
         return self._count >= len(self._events)
 
 
+def live_waiters(waiters: list[Event]) -> list[Event]:
+    """``waiters`` without the events that have fired already.
+
+    A wake source keeps the triggers parked on it in such a list; one
+    that another source fired first is inert there (every notifier skips
+    a triggered event), so a source drops them when it is armed again
+    and its list holds only live sleepers.  The order is kept.
+    """
+    return [ev for ev in waiters if not ev._triggered] if waiters else waiters
+
+
 class Environment:
     """Simulation environment: clock plus the event queue.
 
@@ -452,7 +464,8 @@ class Environment:
         self._depth = 0
         self._depth_max = 0
         # Fast-forward state (see advance()): ``_solo`` is set while run()
-        # executes the only callback of the event it popped, ``_until`` is
+        # executes the only callback of the event it popped (run() keeps
+        # it set between pops, which run no callbacks), ``_until`` is
         # that run()'s time bound, and ``_ff`` counts the fast-forwarded
         # pops that run() has not yet folded into its local counters.
         self._solo = False
@@ -695,7 +708,8 @@ class Environment:
                 event._ok = True
                 event._value = None
                 event._defused = False
-                event.callbacks = []
+                callbacks.clear()
+                event.callbacks = callbacks
                 self._free.append(event)
             elif not event._ok and not event._defused:
                 raise event._value
@@ -733,15 +747,18 @@ class Environment:
             # The heap/deque structures, the pop logic, and the body of
             # step() are inlined here with bound locals: this loop is the
             # simulator's single hottest path (see benchmarks/bench_simcore.py).
-            # A lone callback runs with ``_solo`` set, so the process it
-            # resumes may fast-forward its CPU charges (advance()); the
+            # ``_solo`` stays set for the whole run and is cleared only
+            # around a pop with several callbacks, so a lone callback's
+            # process may fast-forward its CPU charges (advance()); the
             # loop folds those pops into its counters only when one
-            # happened, which always moved ``_seq``.
+            # happened, which always moved ``_seq``.  A recycled pooled
+            # event keeps its (emptied) callbacks list.
             u, n, q = self._urgent, self._normal, self._queue
             heappop = _heappop
             free = self._free
             # without a registry nobody reads the heap depth: skip sampling
             track = self.metrics is not None
+            self._solo = True
 
             if stop_event is None and stop_at == _INF:
                 # drain loop: no stop checks
@@ -761,19 +778,20 @@ class Environment:
                     event.callbacks = None
                     event._processed = True
                     if len(callbacks) == 1:
-                        self._solo = True
                         callbacks[0](event)
                     else:
                         self._solo = False
                         for cb in callbacks:
                             cb(event)
+                        self._solo = True
                     if event._auto:
                         event._processed = False
                         event._triggered = False
                         event._ok = True
                         event._value = None
                         event._defused = False
-                        event.callbacks = []
+                        callbacks.clear()
+                        event.callbacks = callbacks
                         free.append(event)
                     elif not event._ok and not event._defused:
                         raise event._value
@@ -817,19 +835,20 @@ class Environment:
                 event.callbacks = None
                 event._processed = True
                 if len(callbacks) == 1:
-                    self._solo = True
                     callbacks[0](event)
                 else:
                     self._solo = False
                     for cb in callbacks:
                         cb(event)
+                    self._solo = True
                 if event._auto:
                     event._processed = False
                     event._triggered = False
                     event._ok = True
                     event._value = None
                     event._defused = False
-                    event.callbacks = []
+                    callbacks.clear()
+                    event.callbacks = callbacks
                     free.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value

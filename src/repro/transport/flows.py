@@ -105,7 +105,11 @@ class ReliableFlows:
         self.faults = None
         self._tx: dict[int, _Tx] = defaultdict(lambda: _Tx(window_pkts))
         self._rx: dict[int, _Rx] = defaultdict(_Rx)
-        self._g_inflight = self.stats.registry.gauge(f"{layer}.pkts_in_flight")
+        reg = self.stats.registry
+        self._g_inflight = reg.gauge(f"{layer}.pkts_in_flight")
+        self._c_retransmissions = reg.counter("retransmissions")
+        self._c_acks = reg.counter("acks_sent")
+        self._rx_fifo = self.hal.adapter.host_rx
 
     def inflight(self) -> FlowsView:
         """Unacknowledged packets and ledger gaps, per peer."""
@@ -145,7 +149,10 @@ class ReliableFlows:
             yield from self.dispatch_until(
                 thread, lambda: flow.window.can_send, flow.waiters)
         header["seq"] = flow.window.send((header, payload))
-        self._g_inflight.add(1)
+        gauge = self._g_inflight
+        level = gauge.value = gauge.value + 1
+        if level > gauge.high_water:
+            gauge.high_water = level
 
     def transmit(self, thread: str, dst: int, header: dict[str, Any], payload,
                  on_dma_done: Optional[Event] = None) -> Generator:
@@ -173,7 +180,7 @@ class ReliableFlows:
                 if self.env.now - flow.last_progress < rto:
                     continue
                 seq, (header, payload) = flow.window.oldest_unacked()
-                self.stats.retransmissions += 1
+                self._c_retransmissions.value += 1
                 if self.stats.tracer is not None:
                     self.stats.trace(self.layer, "retransmit", dst=dst, seq=seq)
                 yield from self.cpu.execute("user", self.pkt_us)
@@ -189,7 +196,7 @@ class ReliableFlows:
         flow = self._tx[src]
         freed = flow.window.on_ack(cum)
         if freed:
-            self._g_inflight.add(-freed)
+            self._g_inflight.value -= freed  # a fall never moves the high water
             flow.last_progress = self.env.now
             wake_all(flow.waiters)
         if self.after_ack is not None:
@@ -197,11 +204,17 @@ class ReliableFlows:
 
     # ---------------------------------------------------------- receiving
     def stall(self, thread: str) -> Generator:
-        """Charge the dispatcher stall the fault plan injects now, if any."""
-        if self.faults is not None:
-            stall = self.faults.stall_us(self.env.now)
-            if stall > 0.0:
-                yield from self.cpu.execute(thread, stall)
+        """Charge the dispatcher stall the fault plan injects now, if any.
+
+        Only called while a stall hook (``faults``) is installed."""
+        stall = self.faults.stall_us(self.env.now)
+        if stall > 0.0:
+            yield from self.cpu.execute(thread, stall)
+
+    def idle(self) -> bool:
+        """True when a dispatch pass would find nothing to do: the
+        adapter FIFO is empty and no stall hook can charge a stall."""
+        return self.faults is None and not self._rx_fifo
 
     def drain(self, thread: str) -> Generator:
         """Process every packet in the adapter FIFO; returns how many
@@ -221,7 +234,7 @@ class ReliableFlows:
                 return processed
             processed += 1
             if self.pkt_counter is not None:
-                self.pkt_counter.incr()
+                self.pkt_counter.value += 1
             yield from self.hal.charge_recv(thread)
             header, src = pkt.header, pkt.src
             kind = header.get("kind")
@@ -256,6 +269,6 @@ class ReliableFlows:
 
     def _send_ack(self, thread: str, src: int, flow: _Rx) -> Generator:
         flow.since_ack = 0
-        self.stats.acks_sent += 1
+        self._c_acks.value += 1
         yield from self.hal.send(
             thread, src, {"kind": self.ack_kind, "cum": flow.ledger.cum_ack}, b"")

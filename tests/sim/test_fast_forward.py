@@ -326,9 +326,10 @@ def test_an_event_with_two_waiters_never_fast_forwards_the_first():
 
     out, pops, results = simulate(run)
     assert (out, pops) == simulate(run, fast_forward=False)[:2]
-    # "a" ran as the first of the gate's two callbacks: queued path; "b"
-    # waited for the core and so took the general path, never advance()
-    assert results == [False]
+    # "a" ran as the first of the gate's two callbacks: refused.  "b"
+    # waited for the core and got it handed over when "a" finished; its
+    # charge is refused too, since "a"'s exit is due at that instant
+    assert results == [False, False]
 
 
 def test_a_failing_process_after_fast_forwards_flushes_exact_counts():
@@ -396,38 +397,53 @@ def test_step_never_fast_forwards():
     assert simulate(run)[2] == [False, False]
 
 
-class _NoSlowdown:
+class _Slowdown:
+    def __init__(self, factor):
+        self.factor = factor
+
     def slowdown(self, now):
-        return 1.0
+        return self.factor
 
 
-def test_a_cpu_with_a_fault_hook_takes_the_queued_path():
+@pytest.mark.parametrize("factor", [1.0, 2.5])
+def test_a_cpu_with_a_fault_hook_fast_forwards_its_slowed_charge(factor):
     def run(cls):
         env = cls()
         cpu = Cpu(env, MachineParams(), NodeStats())
-        cpu.faults = _NoSlowdown()
+        cpu.faults = _Slowdown(factor)
         log = []
         env.process(_charger(env, cpu, [1.0, 2.0], log))
         env.run()
-        return log
+        return log, cpu.busy_us
 
-    out, results = assert_equivalent(run, expect_fast_forward=False)
-    assert out == [1.0, 3.0] and results == []
+    out, results = assert_equivalent(run)
+    # the general path charges the slowed cost, then asks advance()
+    assert out == ([factor, 3 * factor], 3 * factor)
+    assert results == [True, True]
 
 
-def test_a_cpu_with_waiters_takes_the_queued_path():
+@pytest.mark.parametrize("gap", [0.5, 2.0, 10.0])
+def test_a_handed_over_core_fast_forwards_exactly_when_next(gap):
     def run(cls):
         env = cls()
         cpu = Cpu(env, MachineParams(), NodeStats())
         log = []
-        env.process(_charger(env, cpu, [1.0], log))   # holds the core
-        env.process(_charger(env, cpu, [2.0], log))   # queues behind it
+
+        def holder():
+            yield from cpu.execute("user", 1.0)
+            log.append(("holder", env.now))
+            yield env.timeout(gap)  # its next pop, after the hand-off
+            log.append(("holder", env.now))
+
+        env.process(holder())                        # holds the core
+        env.process(_charger(env, cpu, [2.0], log))  # queues behind it
         env.run()
         return log, cpu.busy_us
 
-    out, results = assert_equivalent(run, expect_fast_forward=False)
-    assert out == ([1.0, 3.0], 3.0)
-    # only the first charge reached advance() (refused: the second
-    # process's start was due at the same instant); the second waited
-    # for the core and took the general path
-    assert results == [False]
+    out, results = assert_equivalent(run, expect_fast_forward=gap > 2.0)
+    assert out[1] == 3.0
+    # the first charge is refused (the second process's start is due at
+    # the same instant); the handed-over charge, from t=1 to t=3, passes
+    # inline only when the holder's timeout lies strictly later (a tie
+    # never fast-forwards)
+    assert results == [False, gap > 2.0]

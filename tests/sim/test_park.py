@@ -24,6 +24,7 @@ import repro.sim.core as core
 from repro import SPCluster
 from repro.lapi.counters import Counter
 from repro.mpi.request import Request
+from repro.mpi.rma import Window
 from repro.obs import MetricsRegistry
 from repro.sim import AnyOf, Environment
 from repro.sim.core import NORMAL
@@ -490,3 +491,85 @@ def test_raw_lapi_runs_match_the_anyof_reference(interrupt_mode):
     (_, values, _), run_, _ = assert_equivalent(run)
     assert all(v[0] == bytes(range(8)) for v in values)
     assert "Lapi.poll_until" in run_.sites and "Counter.arm" in run_.arms
+
+
+# ---------------------------------------------------- short waiter lists
+def _stream_and_epochs(comm, rank, size):
+    """Two rendezvous messages in flight, then a fence and a lock epoch."""
+    peer = rank ^ 1
+    n = 3 * comm.backend.params.eager_limit
+    if rank == 0:
+        reqs = []
+        for k in range(2):
+            reqs.append((yield from comm.isend(bytes([k + 1]) * n, dest=peer)))
+    else:
+        got = [bytearray(n), bytearray(n)]
+        reqs = []
+        for g in got:
+            reqs.append((yield from comm.irecv(g, source=peer)))
+    yield from comm.waitall(reqs)
+    win = yield from comm.win_create(4096)
+    yield from win.fence()
+    yield from win.put(bytes([rank + 1]) * 4096, peer, 0)
+    yield from win.fence()
+    if rank == 0:
+        yield from win.lock(peer)
+        yield from win.accumulate(bytes([1]) * 64, peer, 0, op="sum")
+        yield from win.unlock(peer)
+    yield from comm.barrier()
+    yield from win.free()
+    return bytes(win.mem[:2]) + (bytes(got[1][-2:]) if rank else b"")
+
+
+@pytest.mark.parametrize("stack", STACKS)
+def test_waiter_lists_hold_only_live_sleepers(stack):
+    """Every ``arm`` drops the triggers another source fired first, so a
+    source never holds more than its live sleepers plus the one trigger
+    just armed (which the adapter may have fired during this park)."""
+    lists = {Request: "_waiters", Counter: "_waiters", Window: "_wake_evs"}
+    arms = dict.fromkeys(lists, 0)
+    stale = dict.fromkeys(lists, 0)
+
+    def watched(cls, real):
+        def arm(self, ev):
+            real(self, ev)
+            waiters = getattr(self, lists[cls])
+            arms[cls] += 1
+            live = sum(1 for w in waiters if not w.triggered)
+            stale[cls] = max(stale[cls], len(waiters) - live)
+
+        return arm
+
+    with pytest.MonkeyPatch.context() as m:
+        for cls in lists:
+            m.setattr(cls, "arm", watched(cls, cls.arm))
+        res = SPCluster(2, stack=stack).run(_stream_and_epochs)
+    # window 0 holds rank 1's put; window 1 rank 0's put plus rank 0's
+    # accumulate; rank 1 also returns the tail of the second message
+    assert res.values == [bytes([2, 2]), bytes([2, 2, 2, 2])]
+    # the native window server sleeps on lists of its own
+    assert arms[Request] > 0 and (arms[Window] > 0) == (stack != "native")
+    assert max(stale.values()) <= 1, stale
+
+
+@pytest.mark.parametrize("kind", ["request", "counter"])
+def test_a_source_that_keeps_losing_holds_one_trigger(kind):
+    env = Environment()
+    src = Sources(env, [kind, "list"])
+    lengths = []
+
+    def sleeper():
+        for _ in range(20):
+            yield env.park(src.arm(0), src.arm(1))
+            lengths.append(len(src.objs[0]._waiters))
+
+    def firer():
+        for _ in range(20):
+            yield env.timeout(1.0)
+            src.fire(1)  # the list wins every race
+
+    env.process(sleeper())
+    env.process(firer())
+    env.run()
+    # each park drops the trigger the list fired last time
+    assert lengths == [1] * 20
