@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.faults.plan import FaultPlan
@@ -31,11 +32,11 @@ from repro.faults.points import FaultInjector
 from repro.hal import Hal
 from repro.lapi import Lapi
 from repro.machine import Cpu, MachineParams, NodeStats
-from repro.machine.stats import aggregate
+from repro.machine.stats import COUNTER_FIELDS
 from repro.mpi.api import Communicator
 from repro.mpi.backends import LapiBackend, NativeBackend
 from repro.network import Adapter, SwitchFabric
-from repro.obs import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.pipes import PipeEndpoint
 from repro.rngs import RngStreams
 from repro.sim import Environment, SimulationError
@@ -55,6 +56,39 @@ class DeadlockError(SimulationError):
 
 STACKS = ("native", "lapi-base", "lapi-counters", "lapi-enhanced", "raw-lapi")
 
+#: every cluster shares one default parameter set (the dataclass is frozen)
+_DEFAULT_PARAMS = MachineParams()
+
+_PIPES_COUNTERS = ("pipes.frames_sent", "pipes.bytes_staged", "pipes.bytes_reordered")
+_LAPI_COUNTERS = ("lapi.amsend", "lapi.put", "lapi.get", "lapi.rmw",
+                  "lapi.dispatch_pkts")
+_MPI_GAUGES = ("mpi.ea_bytes", "mpi.unexpected_depth")
+
+#: (counters, gauges) of the cluster registry: the fault injector's, the
+#: fabric's and the kernel's, all taken at build
+CLUSTER_METRICS = (
+    ("fault.injected_drops", "fault.duplicates", "fault.extra_delays",
+     "fault.fifo_squeezes", "fault.dispatcher_stalls",
+     "fault.interrupt_storm_ticks", "fault.cpu_slowdown_ticks",
+     "net.dropped", "sim.events_popped", "sim.process_switches",
+     "sim.processes_started"),
+    ("sim.heap_depth",),
+)
+
+#: stack -> (counters, gauges) that the node's layers take at build, made
+#: in one pass per node.  Names made on first use (``lapi.hdr.*``,
+#: ``mpi.proto.*``, ``rma.*``, ...) stay lazy, so a snapshot's key set is
+#: what the layers would have registered by name.
+NODE_METRICS = {
+    "native": (COUNTER_FIELDS + _PIPES_COUNTERS,
+               ("adapter.rx_fifo_depth", "pipes.pkts_in_flight") + _MPI_GAUGES),
+    **{stack: (COUNTER_FIELDS + _LAPI_COUNTERS,
+               ("adapter.rx_fifo_depth", "lapi.pkts_in_flight") + _MPI_GAUGES)
+       for stack in ("lapi-base", "lapi-counters", "lapi-enhanced")},
+    "raw-lapi": (COUNTER_FIELDS + _LAPI_COUNTERS,
+                 ("adapter.rx_fifo_depth", "lapi.pkts_in_flight")),
+}
+
 
 @dataclass
 class RankResult:
@@ -69,13 +103,19 @@ class RunResult:
 
     ranks: list[RankResult]
     elapsed_us: float
-    stats: NodeStats  # aggregated over nodes
     #: full metrics snapshot (cluster + aggregate + per-node), JSON-able
-    metrics: Optional[dict] = None
+    metrics: dict
 
     @property
     def values(self) -> list[Any]:
         return [r.value for r in self.ranks]
+
+    @cached_property
+    def stats(self) -> NodeStats:
+        """The :class:`NodeStats` counters summed over nodes, built on
+        first read from the snapshot's ``aggregate`` section."""
+        counters = self.metrics["aggregate"]["counters"]
+        return NodeStats(**{name: counters[name] for name in COUNTER_FIELDS})
 
 
 class SPCluster:
@@ -97,7 +137,7 @@ class SPCluster:
             raise ValueError(f"unknown stack {stack!r}; choose from {STACKS}")
         self.num_nodes = num_nodes
         self.stack = stack
-        self.params = params if params is not None else MachineParams()
+        self.params = params if params is not None else _DEFAULT_PARAMS
         self.params.validate()
         self.interrupt_mode = interrupt_mode
         self.seed = seed
@@ -108,7 +148,7 @@ class SPCluster:
 
         #: cluster-wide registry (sim kernel + fabric + faults); per-node
         #: metrics live in each node's ``NodeStats.registry``
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricsRegistry(*CLUSTER_METRICS)
         self.env = Environment(metrics=self.metrics)
         self.tracer = None
         if trace:
@@ -119,7 +159,7 @@ class SPCluster:
         self.fault_plan = fault_plan
         self.fault_injector = FaultInjector(
             plan=fault_plan,
-            rng=self.streams.faults,
+            rng=self.streams.seed_sequence("faults"),
             metrics=self.metrics,
             tracer=self.tracer,
             base_loss_rate=self.params.packet_loss_rate,
@@ -138,7 +178,9 @@ class SPCluster:
                 self.env, self.params, rng=self.streams.fabric,
                 metrics=self.metrics, faults=fi.point("fabric"),
             )
-        self.node_stats = [NodeStats() for _ in range(num_nodes)]
+        counters, gauges = NODE_METRICS[stack]
+        self.node_stats = [NodeStats(MetricsRegistry(counters, gauges))
+                           for _ in range(num_nodes)]
         for i, s in enumerate(self.node_stats):
             s.node_id = i
             if self.tracer is not None:
@@ -243,11 +285,11 @@ class SPCluster:
         drop counts (per layer), the number of distinct message ids
         seen, and whether the capture is complete (nothing dropped).
         """
-        node_regs = [s.registry for s in self.node_stats]
+        nodes = [s.registry.snapshot() for s in self.node_stats]
         snap = {
             "cluster": self.metrics.snapshot(),
-            "aggregate": MetricsRegistry.merged(node_regs).snapshot(),
-            "nodes": [r.snapshot() for r in node_regs],
+            "aggregate": merge_snapshots(nodes),
+            "nodes": nodes,
         }
         if self.tracer is not None:
             mids = {r.fields["mid"] for r in self.tracer.records
@@ -300,7 +342,6 @@ class SPCluster:
         return RunResult(
             ranks=[r for r in results],
             elapsed_us=self.env.now - start,
-            stats=aggregate(self.node_stats),
             metrics=self.metrics_snapshot(),
         )
 

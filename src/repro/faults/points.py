@@ -74,15 +74,20 @@ class FaultInjector:
     def __init__(
         self,
         plan: Optional[FaultPlan] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng=None,
         metrics=None,
         tracer=None,
         base_loss_rate: float = 0.0,
     ):
+        """``rng`` is the generator to draw from, or a seed for one
+        (anything :func:`numpy.random.default_rng` takes; default 0).
+        A seed's generator is built on the first draw, so a run that
+        never draws never builds it."""
         if not (0.0 <= base_loss_rate < 1.0):
             raise ValueError("base_loss_rate must be in [0, 1)")
         self.plan = plan if plan is not None else FaultPlan()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._seed = 0 if rng is None else rng
+        self._rng = None
         self.tracer = tracer
         self.base_loss_rate = base_loss_rate
         self._by_site = {site: self.plan.for_site(site) for site in SITES}
@@ -100,6 +105,15 @@ class FaultInjector:
             self._c_drops = self._c_dups = self._c_delays = None
             self._c_squeezes = self._c_stalls = None
             self._c_storm = self._c_slow = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator every fault draw comes from (a generator given
+        as ``rng`` is returned as it is)."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = np.random.default_rng(self._seed)
+        return rng
 
     # ------------------------------------------------------------- points
     def point(self, site: str, node: Optional[int] = None) -> Optional["FaultPoint"]:

@@ -12,6 +12,9 @@ so the same numbers appear in metrics snapshots, ``BENCH_*.json``
 artifacts, and ``as_dict()``.  Layers count through the registry
 itself: each takes its ``Counter``/``Gauge`` handles from
 ``stats.registry`` once and updates their fields inline.
+:class:`~repro.cluster.SPCluster` hands each node a registry that
+already holds these counters (its stack's static schema), so building
+the facade looks nothing up by name.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["COUNTER_FIELDS", "NodeStats", "aggregate"]
+__all__ = ["COUNTER_FIELDS", "NodeStats"]
 
 #: the legacy per-node counters, in their historical (declaration) order
 COUNTER_FIELDS = (
@@ -54,6 +57,7 @@ COUNTER_FIELDS = (
     # non-overtaking rule after overtaking in the fabric
     "deferred_announcements",
 )
+_FIELD_SET = frozenset(COUNTER_FIELDS)
 
 
 class NodeStats:
@@ -72,12 +76,18 @@ class NodeStats:
     node_id = -1
 
     def __init__(self, registry: Optional[MetricsRegistry] = None, **values: int):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._counters = {name: self.registry.counter(name) for name in COUNTER_FIELDS}
+        if registry is None:
+            registry = MetricsRegistry(counters=COUNTER_FIELDS)
+        self.registry = registry
+        # the registry's own name table: the properties read through it
+        self._counters = counters = registry._counters
+        if not _FIELD_SET <= counters.keys():
+            for name in COUNTER_FIELDS:
+                registry.counter(name)
         for name, value in values.items():
-            if name not in self._counters:
+            if name not in _FIELD_SET:
                 raise TypeError(f"NodeStats has no counter {name!r}")
-            self._counters[name].set(value)
+            counters[name].set(value)
 
     def record_copy(self, nbytes: int) -> None:
         self.copies += 1
@@ -87,13 +97,6 @@ class NodeStats:
         """Emit a structured trace event (no-op unless a tracer is set)."""
         if self.tracer is not None:
             self.tracer.emit(self.node_id, layer, event, **fields)
-
-    def merged_with(self, other: "NodeStats") -> "NodeStats":
-        """Element-wise sum (for cluster-level aggregation)."""
-        out = NodeStats()
-        for name in COUNTER_FIELDS:
-            out._counters[name].set(getattr(self, name) + getattr(other, name))
-        return out
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
@@ -117,12 +120,3 @@ for _name in COUNTER_FIELDS:
     setattr(NodeStats, _name, _counter_property(_name))
 del _name
 
-
-def aggregate(stats: list[NodeStats]) -> NodeStats:
-    """Sum a list of :class:`NodeStats` into one new :class:`NodeStats`."""
-    total = NodeStats()
-    sums = total._counters
-    for s in stats:
-        for name in COUNTER_FIELDS:
-            sums[name].set(getattr(total, name) + getattr(s, name))
-    return total

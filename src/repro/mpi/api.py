@@ -139,9 +139,10 @@ class Communicator:
         """MPI_Buffer_attach."""
         self.backend.attach_buffer(nbytes)
 
-    def buffer_detach(self) -> int:
-        """MPI_Buffer_detach."""
-        return self.backend.detach_buffer()
+    def buffer_detach(self) -> Generator:
+        """MPI_Buffer_detach: returns the detached size once every
+        buffered send's space is free again."""
+        return (yield from self.backend.detach_buffer("user"))
 
     # ------------------------------------------------------ pt2pt receives
     def irecv(self, buf: Any, source: int = ANY_SOURCE, tag: int = ANY_TAG,

@@ -27,6 +27,7 @@ from repro.mpi.protocol import BUFFERED, EAGER, READY, select_protocol
 from repro.mpi.request import Request
 from repro.obs.registry import Counter
 from repro.sim import Environment, Event
+from repro.transport.flows import wake_all
 
 __all__ = ["Backend", "InMsg", "MpiFatal", "PendingSend"]
 
@@ -135,6 +136,8 @@ class Backend:
         self._attach_used = 0
         #: sid -> bytes to release when the bfree notification arrives
         self._attach_outstanding: dict[int, int] = {}
+        #: detaches waiting for the last outstanding bfree
+        self._detach_waiters: list[Event] = []
 
         # early-arrival buffer accounting
         self._ea_used = 0
@@ -170,11 +173,15 @@ class Backend:
         self._attach_capacity = nbytes
         self._attach_used = 0
 
-    def detach_buffer(self) -> int:
-        """MPI_Buffer_detach: returns the detached capacity."""
+    def detach_buffer(self, thread: str) -> Generator:
+        """MPI_Buffer_detach: wait until every buffered send's receiver
+        has freed its space (the bfree notification), then detach;
+        returns the detached capacity."""
+        outstanding = self._attach_outstanding
+        yield from self.poll_until(thread, lambda: not outstanding,
+                                   self._detach_waiters.append)
         cap = self._attach_capacity
         self._attach_capacity = 0
-        self._attach_used = 0
         return cap
 
     def _reserve_attached(self, nbytes: int, sid: int) -> None:
@@ -188,6 +195,8 @@ class Backend:
 
     def _release_attached(self, sid: int) -> None:
         self._attach_used -= self._attach_outstanding.pop(sid, 0)
+        if not self._attach_outstanding:
+            wake_all(self._detach_waiters)
 
     # ------------------------------------------------------- EA buffers
     def _alloc_ea(self, size: int) -> bytearray:

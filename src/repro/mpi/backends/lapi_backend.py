@@ -299,7 +299,7 @@ class LapiBackend(Backend):
         """Base/Enhanced completion handler: mark the message complete
         (paper Fig 3c)."""
         self._data_complete(msg)
-        yield self.env.timeout(0)
+        yield self.env.auto_timeout(0)
 
     def _cmpl_send_rts_ack(self, lapi: Lapi, thread: str, msg: InMsg) -> Generator:
         """Fig 4c: completion handler of a matched request-to-send."""

@@ -1478,9 +1478,10 @@ class NativeRmaEngine(_Transport):
                     if removed:
                         return
                     break  # matched mid-cancel: serve it out
-                progressed = yield from be.progress("user")
-                if req.done or req.needs_finalize or progressed:
-                    continue
+                if not be.idle():  # an idle pass would do nothing
+                    progressed = yield from be.progress("user")
+                    if req.done or req.needs_finalize or progressed:
+                        continue
                 yield self.env.park(be.hal.arm_rx, req.arm, st.stop_evs.append)
             status = yield from comm.wait(req)
             hdr, payload = _dec(memoryview(buf)[: status.count])

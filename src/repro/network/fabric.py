@@ -8,8 +8,8 @@ ones when the skew/jitter exceeds the inter-packet serialisation gap.
 
 Faults (loss, duplication, reorder storms) are injected through an
 optional :class:`repro.faults.FaultPoint`; a fabric built without one
-derives a static loss point from ``params.packet_loss_rate``, so the
-scalar knob keeps working for directly constructed fabrics.
+derives a static loss point from a positive ``params.packet_loss_rate``,
+so the scalar knob keeps working for directly constructed fabrics.
 
 The fabric owns no CPU time; link serialisation happens in the sending
 adapter and reception costs in the receiving one.  Subclasses change
@@ -51,11 +51,11 @@ class SwitchFabric:
         #: fault hook (:class:`repro.faults.FaultPoint`) — ``None`` keeps
         #: the hot path draw-free
         self.faults = faults
-        if faults is None:
+        if faults is None and params.packet_loss_rate > 0.0:
             from repro.faults.points import FaultInjector
 
-            # static loss point (``None`` when the rate is 0), drawing
-            # from the fabric rng in the pre-FaultPoint order
+            # static loss point, drawing from the fabric rng in the
+            # pre-FaultPoint order
             self.faults = FaultInjector(
                 rng=self.rng, base_loss_rate=params.packet_loss_rate,
             ).point("fabric")

@@ -24,9 +24,9 @@ layer-specific metrics are namespaced (``lapi.amsend``,
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional
+from typing import Iterable
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots"]
 
 #: default bucket count — 2**31 us ≈ 36 simulated minutes, far beyond any run
 DEFAULT_BUCKETS = 32
@@ -125,12 +125,19 @@ class MetricsRegistry:
 
     One registry per node (owned by ``NodeStats``) plus one cluster-level
     registry (sim kernel + fabric) — see ``SPCluster.metrics_snapshot``.
+
+    ``counters`` and ``gauges`` name metrics to create up front, in one
+    pass (a node's static schema); later ``counter``/``gauge`` calls for
+    those names are plain lookups.
     """
 
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+    def __init__(self, counters: Iterable[str] = (),
+                 gauges: Iterable[str] = ()) -> None:
+        self._counters: dict[str, Counter] = {n: Counter(n) for n in counters}
+        self._gauges: dict[str, Gauge] = {n: Gauge(n) for n in gauges}
         self._histograms: dict[str, Histogram] = {}
+        if not self._counters.keys().isdisjoint(self._gauges):
+            raise ValueError("a metric name is both a counter and a gauge")
 
     # -------------------------------------------------------- factories
     def counter(self, name: str) -> Counter:
@@ -178,25 +185,39 @@ class MetricsRegistry:
             },
         }
 
-    # ---------------------------------------------------------- merging
-    @classmethod
-    def merged(cls, registries: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """Element-wise aggregation: counters/histograms sum, gauges take
-        the sum of values and the max of high-water marks."""
-        out = cls()
-        for reg in registries:
-            for n, c in reg._counters.items():
-                out.counter(n).incr(c.value)
-            for n, g in reg._gauges.items():
-                merged = out.gauge(n)
-                merged.value += g.value
-                merged.high_water = max(merged.high_water, g.high_water)
-            for n, h in reg._histograms.items():
-                m = out.histogram(n, h.nbuckets)
-                if m.nbuckets != h.nbuckets:
-                    raise ValueError(f"histogram {n!r}: bucket count mismatch")
-                for i, b in enumerate(h.buckets):
-                    m.buckets[i] += b
-                m.count += h.count
-                m.total += h.total
-        return out
+
+def merge_snapshots(snapshots: Iterable[dict]) -> dict:
+    """Element-wise merge of :meth:`MetricsRegistry.snapshot` dicts, in
+    the same format: counters and histograms sum; gauges sum their
+    values and take the max of their high-water marks.  Every sum starts
+    from ``0`` (``0.0`` for a histogram's ``sum``) and adds the inputs in
+    order, so the result equals the snapshot of one registry that
+    accumulated every input."""
+    counters: dict[str, int] = {}
+    gauges: dict[str, dict] = {}
+    histograms: dict[str, dict] = {}
+    for snap in snapshots:
+        get = counters.get
+        for n, v in snap["counters"].items():
+            counters[n] = get(n, 0) + v
+        for n, g in snap["gauges"].items():
+            m = gauges.get(n)
+            if m is None:
+                m = gauges[n] = {"value": 0, "high_water": 0}
+            m["value"] += g["value"]
+            m["high_water"] = max(m["high_water"], g["high_water"])
+        for n, h in snap["histograms"].items():
+            m = histograms.get(n)
+            if m is None:
+                m = histograms[n] = {"count": 0, "sum": 0.0,
+                                     "buckets": [0] * len(h["buckets"])}
+            elif len(m["buckets"]) != len(h["buckets"]):
+                raise ValueError(f"histogram {n!r}: bucket count mismatch")
+            m["count"] += h["count"]
+            m["sum"] += h["sum"]
+            m["buckets"] = [a + b for a, b in zip(m["buckets"], h["buckets"])]
+    return {
+        "counters": dict(sorted(counters.items())),
+        "gauges": dict(sorted(gauges.items())),
+        "histograms": dict(sorted(histograms.items())),
+    }

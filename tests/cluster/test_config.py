@@ -140,3 +140,30 @@ def test_numpy_generator_types():
     s = RngStreams(1)
     assert isinstance(s.fabric, np.random.Generator)
     assert isinstance(s.node(0), np.random.Generator)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 4242, 2**40])
+def test_streams_equal_the_spawned_children(seed):
+    """Each stream is built alone, yet draws as the root's ``spawn``
+    child at its position would, and node streams hang off ``nodes``."""
+    root = np.random.SeedSequence(seed)
+    children = root.spawn(len(STREAMS))
+    s = RngStreams(seed)
+    for name, child in zip(STREAMS, children):
+        assert s.get(name).random(4).tolist() == \
+            np.random.default_rng(child).random(4).tolist()
+    for node in (0, 3):
+        ref = np.random.SeedSequence(root.entropy,
+                                     spawn_key=(STREAMS.index("nodes"), node))
+        assert s.node(node).random(3).tolist() == \
+            np.random.default_rng(ref).random(3).tolist()
+    with pytest.raises(KeyError):
+        s.seed_sequence("node0")
+
+
+def test_fault_injector_builds_its_generator_on_the_first_draw():
+    cluster = SPCluster(2, seed=9)
+    assert cluster.fabric.faults is None  # no loss: no static loss point
+    cluster.run(lambda comm, rank, size: comm.barrier())
+    assert cluster.fault_injector._rng is None  # a fault-free run never drew
+    assert cluster.fault_injector.rng.random() == RngStreams(9).faults.random()

@@ -1,7 +1,11 @@
 """NodeStats bookkeeping."""
 
+import pytest
+
+from repro.cluster import SPCluster
 from repro.machine import NodeStats
-from repro.machine.stats import COUNTER_FIELDS, aggregate
+from repro.machine.stats import COUNTER_FIELDS
+from repro.obs import MetricsRegistry
 
 
 def test_record_copy():
@@ -12,42 +16,51 @@ def test_record_copy():
     assert s.bytes_copied == 150
 
 
-def test_merged_with_sums_fields():
-    a = NodeStats(copies=1, packets_sent=5)
-    b = NodeStats(copies=2, packets_sent=7, interrupts=3)
-    c = a.merged_with(b)
-    assert c.copies == 3
-    assert c.packets_sent == 12
-    assert c.interrupts == 3
-    # originals untouched
-    assert a.copies == 1
+def test_keyword_values_seed_counters():
+    s = NodeStats(copies=1, packets_sent=5)
+    assert s.copies == 1 and s.packets_sent == 5 and s.interrupts == 0
+    with pytest.raises(TypeError):
+        NodeStats(bogus=1)
+    with pytest.raises(TypeError):
+        NodeStats(**{"lapi.amsend": 1})  # a registry name, not a field
 
 
-def test_aggregate_many():
-    parts = [NodeStats(msgs_sent=i) for i in range(5)]
-    total = aggregate(parts)
-    assert total.msgs_sent == 10
+def test_default_registry_holds_exactly_the_fields():
+    s = NodeStats()
+    assert s.registry.snapshot()["counters"] == dict.fromkeys(sorted(COUNTER_FIELDS), 0)
 
 
-def test_aggregate_builds_one_total_equal_to_pairwise_merges(monkeypatch):
-    parts = [NodeStats(**{name: 3 * i + k for k, name in enumerate(COUNTER_FIELDS)})
-             for i in range(3)]
-    merged = NodeStats()
-    for p in parts:
-        merged = merged.merged_with(p)
-    built = []
-    init = NodeStats.__init__
+def test_given_registry_gains_missing_fields_and_keeps_its_metrics():
+    reg = MetricsRegistry(counters=("copies", "lapi.amsend"))
+    reg.counter("copies").incr(4)
+    s = NodeStats(reg)
+    assert s.registry is reg
+    assert s.copies == 4
+    assert set(reg.snapshot()["counters"]) == set(COUNTER_FIELDS) | {"lapi.amsend"}
+    s.polls = 3
+    assert reg.counter_value("polls") == 3
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(NodeStats, "__init__", counting_init)
-    total = aggregate(parts)
-    assert built == [total]
-    assert total.as_dict() == merged.as_dict()
-    assert parts[0].copies == 0 and parts[2].copies == 6  # inputs untouched
-    assert aggregate([]).as_dict() == NodeStats().as_dict()
+def test_run_result_stats_sum_the_nodes_on_first_read():
+    cluster = SPCluster(3, stack="native")
+
+    def program(comm, rank, size):
+        if rank == 0:
+            for dst in (1, 2):
+                yield from comm.send(bytes(300), dest=dst)
+        else:
+            yield from comm.recv(bytearray(300), source=0)
+
+    res = cluster.run(program)
+    assert "stats" not in vars(res)  # nothing built until read
+    expected = {name: sum(getattr(s, name) for s in cluster.node_stats)
+                for name in COUNTER_FIELDS}
+    assert res.stats.as_dict() == expected
+    assert res.stats is res.stats
+    assert res.stats.msgs_sent == 2 and res.stats.copies > 0
+    # a later run moves the nodes' counters, not this result
+    cluster.run(program)
+    assert res.stats.as_dict() == expected
 
 
 def test_as_dict_covers_all_fields():

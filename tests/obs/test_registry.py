@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import merge_snapshots
 
 
 # ------------------------------------------------------------- counters
@@ -110,6 +111,25 @@ def test_snapshot_is_a_copy():
     assert snap["counters"]["a"] == 1
 
 
+# --------------------------------------------------------------- schema
+def test_schema_metrics_exist_up_front_and_are_looked_up():
+    r = MetricsRegistry(counters=("a", "b"), gauges=("g",))
+    a = r.counter("a")
+    assert r.counter("a") is a and r.gauge("g") is r.gauge("g")
+    assert r.snapshot() == {
+        "counters": {"a": 0, "b": 0},
+        "gauges": {"g": {"value": 0, "high_water": 0}},
+        "histograms": {},
+    }
+    with pytest.raises(ValueError):
+        r.gauge("a")  # the schema's types hold for later lookups
+
+
+def test_schema_rejects_a_name_of_both_types():
+    with pytest.raises(ValueError):
+        MetricsRegistry(counters=("x",), gauges=("x",))
+
+
 # -------------------------------------------------------------- merging
 def test_merged_sums_counters_and_histograms_maxes_high_water():
     a, b = MetricsRegistry(), MetricsRegistry()
@@ -120,9 +140,28 @@ def test_merged_sums_counters_and_histograms_maxes_high_water():
     b.gauge("g").set(4)
     a.histogram("h").observe(1.0)
     b.histogram("h").observe(2.0)
-    m = MetricsRegistry.merged([a, b])
-    snap = m.snapshot()
-    assert snap["counters"]["c"] == 5
-    assert snap["counters"]["only_b"] == 1
-    assert snap["gauges"]["g"]["high_water"] == 10
+    snap = merge_snapshots([a.snapshot(), b.snapshot()])
+    assert snap["counters"] == {"c": 5, "only_b": 1}
+    assert snap["gauges"]["g"] == {"value": 14, "high_water": 10}
     assert snap["histograms"]["h"]["count"] == 2
+    assert snap["histograms"]["h"]["sum"] == 3.0
+    json.dumps(snap)
+
+
+def test_merge_of_nothing_is_empty_and_inputs_are_not_aliased():
+    assert merge_snapshots([]) == {"counters": {}, "gauges": {}, "histograms": {}}
+    r = MetricsRegistry()
+    r.histogram("h").observe(3.0)
+    one = r.snapshot()
+    merged = merge_snapshots([one])
+    assert merged == one
+    merged["histograms"]["h"]["buckets"][2] += 1
+    assert one["histograms"]["h"]["buckets"][2] == 1
+
+
+def test_merge_rejects_histograms_with_different_bucket_counts():
+    a, b = MetricsRegistry(), MetricsRegistry()
+    a.histogram("h", nbuckets=4)
+    b.histogram("h", nbuckets=8)
+    with pytest.raises(ValueError):
+        merge_snapshots([a.snapshot(), b.snapshot()])
