@@ -9,6 +9,7 @@ in the rendezvous range.
 import pytest
 
 from repro.bench import fig10
+from repro.bench.figures import FIGURES, rows
 from repro.bench.harness import pingpong_us, raw_lapi_pingpong_us
 
 SIZES = [4, 1024, 16384]
@@ -33,8 +34,7 @@ def test_mpi_lapi_variant(benchmark, variant, size):
 
 def test_fig10_shape(benchmark, shape_report):
     data = benchmark.pedantic(
-        lambda: fig10.rows(sizes=[4, 256, 1024, 16384, 65536]),
-        rounds=1, iterations=1,
+        lambda: rows("fig10", FIGURES["fig10"].sweep), rounds=1, iterations=1
     )
     problems = fig10.check_shape(data)
     shape_report["fig10"] = problems
@@ -43,39 +43,3 @@ def test_fig10_shape(benchmark, shape_report):
     # sizes is dominated by the completion-handler thread switches
     small = data[0]
     assert small["lapi-base"] - small["lapi-enhanced"] > 20.0
-
-
-def main(argv=None) -> int:
-    """Write BENCH_fig10_variants.json: the variant sweep plus the
-    per-phase breakdown behind the Base/Enhanced gap."""
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-    from repro.obs import breakdown as obs_breakdown
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    sizes = [4, 256, 1024, 16384, 65536]
-    data = fig10.rows(sizes=sizes, jobs=args.jobs)
-    breakdown = {}
-    for variant in ("lapi-base", "lapi-counters", "lapi-enhanced"):
-        summary, _ = obs_breakdown(variant, 256, reps=4)
-        breakdown[variant] = summary
-    doc = make_artifact(
-        "fig10_variants",
-        params={"sizes": sizes, "breakdown_bytes": 256},
-        results=data,
-        breakdown=breakdown,
-    )
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -7,6 +7,7 @@ beyond a small crossover and the gap grows with message size.
 import pytest
 
 from repro.bench import fig11
+from repro.bench.figures import FIGURES, rows
 from repro.bench.harness import pingpong_us
 
 SIZES = [4, 256, 4096]
@@ -23,7 +24,7 @@ def test_latency(benchmark, stack, size):
 
 def test_fig11_shape(benchmark, shape_report):
     data = benchmark.pedantic(
-        lambda: fig11.rows(sizes=[1, 16, 256, 1024, 4096, 16384]),
+        lambda: rows("fig11", [*FIGURES["fig11"].sweep, 16384]),
         rounds=1, iterations=1,
     )
     problems = fig11.check_shape(data)
@@ -32,56 +33,3 @@ def test_fig11_shape(benchmark, shape_report):
     # crossover exists: the winner flips somewhere in the sweep
     signs = [r["improvement_%"] > 0 for r in data]
     assert not signs[0] and signs[-1]
-
-
-def main(argv=None) -> int:
-    """Write the schema-versioned BENCH_fig11_latency.json artifact.
-
-    Includes the Fig-10-style latency breakdown: the base variant pays
-    the completion-handler thread switch, enhanced does not.
-    """
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-    from repro.bench.harness import pingpong_result
-    from repro.obs import breakdown as obs_breakdown
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--full", action="store_true",
-                        help="the figure's full size sweep")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    sizes = fig11.DEFAULT_SIZES if args.full else [1, 16, 256, 1024, 4096]
-    reps = 6
-    data = fig11.rows(sizes=sizes, jobs=args.jobs)
-
-    bd_size, bd_reps = 256, 4
-    breakdown = {}
-    for stack in ("native", "lapi-base", "lapi-counters", "lapi-enhanced"):
-        summary, _ = obs_breakdown(stack, bd_size, reps=bd_reps)
-        breakdown[stack] = summary
-    metrics = pingpong_result("lapi-enhanced", bd_size, reps=bd_reps).metrics
-
-    doc = make_artifact(
-        "fig11_latency",
-        params={"sizes": sizes, "reps": reps,
-                "breakdown_bytes": bd_size, "breakdown_reps": bd_reps},
-        results=data,
-        metrics=metrics,
-        breakdown=breakdown,
-    )
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    for stack, summary in breakdown.items():
-        ph = summary["phases_us"]
-        print(f"  {stack:14s} e2e={summary['end_to_end_us']:7.2f}us "
-              f"thread_switch={ph['thread_switch']:6.2f}us")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

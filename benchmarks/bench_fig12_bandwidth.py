@@ -7,6 +7,7 @@ paper's highlighted size); the curves converge at very large messages.
 import pytest
 
 from repro.bench import fig12
+from repro.bench.figures import FIGURES, rows
 from repro.bench.harness import bandwidth_mbps
 
 SIZES = [1024, 65536]
@@ -23,34 +24,8 @@ def test_bandwidth(benchmark, stack, size):
 
 def test_fig12_shape(benchmark, shape_report):
     data = benchmark.pedantic(
-        lambda: fig12.rows(sizes=[1024, 4096, 16384, 65536, 1048576]),
-        rounds=1, iterations=1,
+        lambda: rows("fig12", FIGURES["fig12"].sweep), rounds=1, iterations=1
     )
     problems = fig12.check_shape(data)
     shape_report["fig12"] = problems
     assert not problems, problems
-
-
-def main(argv=None) -> int:
-    """Write BENCH_fig12_bandwidth.json."""
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    sizes = [1024, 4096, 16384, 65536, 1048576]
-    data = fig12.rows(sizes=sizes, jobs=args.jobs)
-    doc = make_artifact("fig12_bandwidth", params={"sizes": sizes}, results=data)
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

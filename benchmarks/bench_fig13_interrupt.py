@@ -9,6 +9,7 @@ import pytest
 
 from repro import MachineParams
 from repro.bench import fig13
+from repro.bench.figures import FIGURES, rows
 from repro.bench.harness import interrupt_pingpong_us
 
 SIZES = [4, 1024]
@@ -25,7 +26,7 @@ def test_interrupt_latency(benchmark, stack, size):
 
 def test_fig13_shape(benchmark, shape_report):
     data = benchmark.pedantic(
-        lambda: fig13.rows(sizes=[1, 64, 1024, 8192]), rounds=1, iterations=1
+        lambda: rows("fig13", FIGURES["fig13"].sweep), rounds=1, iterations=1
     )
     problems = fig13.check_shape(data)
     shape_report["fig13"] = problems
@@ -48,28 +49,3 @@ def test_hysteresis_dwells_are_the_cause(benchmark):
     normal, no_dwell, lapi = benchmark.pedantic(measure, rounds=1, iterations=1)
     assert normal > no_dwell * 1.5
     assert no_dwell < lapi * 1.8
-
-
-def main(argv=None) -> int:
-    """Write BENCH_fig13_interrupt.json."""
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    sizes = [1, 64, 1024, 8192]
-    data = fig13.rows(sizes=sizes, jobs=args.jobs)
-    doc = make_artifact("fig13_interrupt", params={"sizes": sizes}, results=data)
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,6 +9,7 @@ the compute-bound group (EP, MG, SP).
 import pytest
 
 from repro.bench import nas as nasbench
+from repro.bench.figures import rows
 from repro.bench.nas import run_one
 from repro.nas import KERNELS
 
@@ -30,31 +31,7 @@ def test_kernel_on_native(benchmark, kernel):
 
 
 def test_nas_table_shape(benchmark, shape_report):
-    data = benchmark.pedantic(nasbench.rows, rounds=1, iterations=1)
+    data = benchmark.pedantic(lambda: rows("nas"), rounds=1, iterations=1)
     problems = nasbench.check_shape(data)
     shape_report["nas"] = problems
     assert not problems, problems
-
-
-def main(argv=None) -> int:
-    """Write BENCH_nas.json: the §6.2 kernel table (class S, 4 nodes)."""
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    data = nasbench.rows(jobs=args.jobs)
-    doc = make_artifact("nas", params={"nodes": 4, "class": "S"}, results=data)
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -11,6 +11,7 @@ inversion at every size.
 import pytest
 
 from repro.bench import rma
+from repro.bench.figures import rows
 
 SIZES = [8, 1024, 16384]
 
@@ -34,61 +35,7 @@ def test_rma_lock_round(benchmark, stack):
 
 
 def test_rma_shape(benchmark, shape_report):
-    data = benchmark.pedantic(lambda: rma.rows(), rounds=1, iterations=1)
+    data = benchmark.pedantic(lambda: rows("rma"), rounds=1, iterations=1)
     problems = rma.check(data)
     shape_report["rma"] = problems
     assert not problems, problems
-
-
-def _flatten(data):
-    """One artifact row per (series, size) cell, deterministic order.
-
-    The schema wants every row to carry the same keys, so each row is
-    padded with the union of all series' columns (``None`` where the
-    series has no such measurement).
-    """
-    rows = []
-    for series in ("latency", "lock", "bandwidth"):
-        for row in data[series]:
-            out = {"label": f"{series}:{row['size']}", "series": series}
-            out.update(row)
-            del out["size"]  # the label carries it; keeps row keys unique
-            rows.append(out)
-    columns = sorted({k for r in rows for k in r})
-    return [{k: r.get(k) for k in columns} for r in rows]
-
-
-def main(argv=None) -> int:
-    """Write the schema-versioned BENCH_rma.json artifact: the three
-    RMA series (latency vs two-sided, passive-target rounds, streaming
-    bandwidth) flattened to labelled rows."""
-    import argparse
-
-    from repro.bench.artifact import make_artifact, write_artifact
-
-    parser = argparse.ArgumentParser(description=main.__doc__)
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel sweep workers (0 = one per CPU); "
-                             "results are identical at any worker count")
-    args = parser.parse_args(argv)
-
-    sizes = [8, 256, 1024, 16384]
-    data = rma.rows(sizes=sizes, jobs=args.jobs)
-    problems = rma.check(data)
-    doc = make_artifact(
-        "rma",
-        params={"sizes": sizes, "stacks": list(rma.LAT_STACKS)},
-        results=_flatten(data),
-    )
-    path = write_artifact(doc, args.out)
-    print(f"wrote {path}")
-    for p in problems:
-        print(f"shape problem: {p}")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

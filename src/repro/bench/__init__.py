@@ -1,9 +1,8 @@
 """Benchmark harness: regenerates every table and figure of the paper.
 
-Each ``figN`` module exposes ``rows()`` returning the figure's data
-series and a ``main()`` that prints them; ``python -m repro.bench.figN``
-reproduces the figure as a table.  ``pytest benchmarks/`` wraps the same
-code in pytest-benchmark targets.
+``FIGURES`` in :mod:`repro.bench.figures` holds each figure's cells,
+sweeps, shape check and artifact; ``pytest benchmarks/`` wraps the same
+cells in pytest-benchmark targets.
 """
 
 from repro.bench.harness import (

@@ -7,8 +7,9 @@ optional latency breakdown (:func:`repro.obs.summarize` output per
 stack).  Artifacts are deterministic — sorted keys, no timestamps — so
 two identical runs produce byte-identical files.
 
-Validate from the command line::
+Write the figures' artifacts (:mod:`repro.bench.figures`) or validate::
 
+    python -m repro.bench.artifact write DIR [--jobs N] [NAME ...]
     python -m repro.bench.artifact validate BENCH_fig11_latency.json
 """
 
@@ -28,6 +29,7 @@ __all__ = [
     "make_artifact",
     "validate_artifact",
     "write_artifact",
+    "write_figures",
 ]
 
 #: current artifact schema identifier; bump the suffix on layout changes
@@ -142,14 +144,28 @@ def load_artifact(path: Union[str, Path]) -> dict:
     return doc
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) < 2 or argv[0] != "validate":
-        print("usage: python -m repro.bench.artifact validate FILE [FILE...]",
-              file=sys.stderr)
+def write_figures(directory: Union[str, Path], names: list[str],
+                  jobs: Optional[int] = None) -> int:
+    """Write the named figures' artifacts (all if ``names`` is empty);
+    1 on a shape problem, 2 on an unknown name.  Same bytes at any ``jobs``."""
+    from repro.bench.figures import FIGURES, artifact
+
+    if not set(names) <= FIGURES.keys():
+        print(f"figures are {', '.join(FIGURES)}", file=sys.stderr)
         return 2
     status = 0
-    for arg in argv[1:]:
+    for name in names or FIGURES:
+        doc, problems = artifact(name, jobs=jobs)
+        print(f"wrote {write_artifact(doc, directory)}")
+        for p in problems:
+            print(f"  shape problem: {p}")
+        status |= bool(problems)
+    return status
+
+
+def _validate(paths: list[str]) -> int:
+    status = 0
+    for arg in paths:
         try:
             doc = json.loads(Path(arg).read_text())
         except (OSError, ValueError) as exc:
@@ -165,6 +181,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             print(f"{arg}: OK ({doc['name']}, {len(doc['results'])} rows)")
     return status
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    match argv:
+        case ["write", directory, "--jobs", jobs, *names] if jobs.isdigit():
+            return write_figures(directory, names, int(jobs))
+        case ["write", directory, *names] if not directory.startswith("-"):
+            return write_figures(directory, names)
+        case ["validate", *paths] if paths:
+            return _validate(paths)
+    print("usage: python -m repro.bench.artifact write DIR [--jobs N] [NAME ...]\n"
+          "       python -m repro.bench.artifact validate FILE [FILE...]",
+          file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.figures import print_table, reps_for
 from repro.bench.harness import pingpong_us
-from repro.bench.parallel import Cell, run_cells
+from repro.bench.sweep import reps_for
 from repro.machine import MachineParams
 
-__all__ = ["rows", "main"]
-
-DEFAULT_SIZES = [1, 4, 16, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384]
+__all__ = ["check_shape"]
 
 
 def _row(size: int, params: Optional[MachineParams]) -> dict:
@@ -32,14 +29,6 @@ def _row(size: int, params: Optional[MachineParams]) -> dict:
     }
 
 
-def rows(sizes: Optional[list[int]] = None,
-         params: Optional[MachineParams] = None,
-         jobs: Optional[int] = None) -> list[dict]:
-    if sizes is None:
-        sizes = list(DEFAULT_SIZES)
-    return run_cells([Cell(_row, size, params) for size in sizes], jobs=jobs)
-
-
 def check_shape(data: list[dict]) -> list[str]:
     problems = []
     tiny = [r for r in data if r["size"] <= 16]
@@ -50,18 +39,3 @@ def check_shape(data: list[dict]) -> list[str]:
         if r["improvement_%"] <= 0:
             problems.append(f"size {r['size']}: MPI-LAPI not ahead")
     return problems
-
-
-def main() -> None:
-    data = rows()
-    print_table(
-        "Fig 11 — latency (us, one-way): native MPI vs MPI-LAPI Enhanced",
-        ["size", "native", "lapi-enhanced", "improvement_%"],
-        data,
-    )
-    problems = check_shape(data)
-    print("\nshape check:", "OK" if not problems else "; ".join(problems))
-
-
-if __name__ == "__main__":
-    main()

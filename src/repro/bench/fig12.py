@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.figures import geometric_sizes, print_table
 from repro.bench.harness import bandwidth_mbps
-from repro.bench.parallel import Cell, run_cells
 from repro.machine import MachineParams
 
-__all__ = ["rows", "main"]
+__all__ = ["check_shape"]
 
 
 def _count_for(size: int) -> int:
@@ -37,14 +35,6 @@ def _row(size: int, params: Optional[MachineParams]) -> dict:
     }
 
 
-def rows(sizes: Optional[list[int]] = None,
-         params: Optional[MachineParams] = None,
-         jobs: Optional[int] = None) -> list[dict]:
-    if sizes is None:
-        sizes = geometric_sizes(256, 1 << 20, 4)
-    return run_cells([Cell(_row, size, params) for size in sizes], jobs=jobs)
-
-
 def check_shape(data: list[dict]) -> list[str]:
     problems = []
     mid = [r for r in data if 1024 <= r["size"] <= 64 * 1024]
@@ -58,18 +48,3 @@ def check_shape(data: list[dict]) -> list[str]:
         if abs(r["improvement_%"]) > 15.0:
             problems.append(f"size {r['size']}: curves should converge")
     return problems
-
-
-def main() -> None:
-    data = rows()
-    print_table(
-        "Fig 12 — bandwidth (MB/s): native MPI vs MPI-LAPI Enhanced",
-        ["size", "native", "lapi-enhanced", "improvement_%"],
-        data,
-    )
-    problems = check_shape(data)
-    print("\nshape check:", "OK" if not problems else "; ".join(problems))
-
-
-if __name__ == "__main__":
-    main()

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.figures import print_table
 from repro.bench.harness import interrupt_pingpong_us
-from repro.bench.parallel import Cell, run_cells
 from repro.machine import MachineParams
 
-__all__ = ["rows", "main"]
-
-DEFAULT_SIZES = [1, 4, 16, 64, 256, 1024, 4096, 8192]
+__all__ = ["check_shape"]
 
 
 def _row(size: int, params: Optional[MachineParams]) -> dict:
@@ -32,14 +28,6 @@ def _row(size: int, params: Optional[MachineParams]) -> dict:
     }
 
 
-def rows(sizes: Optional[list[int]] = None,
-         params: Optional[MachineParams] = None,
-         jobs: Optional[int] = None) -> list[dict]:
-    if sizes is None:
-        sizes = list(DEFAULT_SIZES)
-    return run_cells([Cell(_row, size, params) for size in sizes], jobs=jobs)
-
-
 def check_shape(data: list[dict]) -> list[str]:
     problems = []
     for r in data:
@@ -49,18 +37,3 @@ def check_shape(data: list[dict]) -> list[str]:
                 f"(got {r['speedup_x']:.2f}x)"
             )
     return problems
-
-
-def main() -> None:
-    data = rows()
-    print_table(
-        "Fig 13 — interrupt-mode latency (us, one-way)",
-        ["size", "native", "lapi-enhanced", "speedup_x"],
-        data,
-    )
-    problems = check_shape(data)
-    print("\nshape check:", "OK" if not problems else "; ".join(problems))
-
-
-if __name__ == "__main__":
-    main()

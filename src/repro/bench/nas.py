@@ -10,12 +10,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.figures import print_table
 from repro.cluster import preset
 from repro.machine import MachineParams
 from repro.nas import run_kernel
 
-__all__ = ["rows", "main", "KERNEL_ORDER"]
+__all__ = ["FLAT", "IMPROVERS", "KERNEL_ORDER", "check_shape", "run_one"]
 
 KERNEL_ORDER = ("lu", "is", "cg", "bt", "ft", "ep", "mg", "sp")
 
@@ -38,23 +37,15 @@ def run_one(kernel: str, stack: str, nodes: int = 4,
     return result.elapsed_us
 
 
-def _row(kernel: str, nodes: int, params: Optional[MachineParams]) -> dict:
-    native = run_one(kernel, "native", nodes, params)
-    lapi = run_one(kernel, "lapi-enhanced", nodes, params)
+def _row(kernel: str, params: Optional[MachineParams]) -> dict:
+    native = run_one(kernel, "native", params=params)
+    lapi = run_one(kernel, "lapi-enhanced", params=params)
     return {
         "kernel": kernel.upper(),
         "native_us": native,
         "mpi_lapi_us": lapi,
         "improvement_%": 100.0 * (native - lapi) / native,
     }
-
-
-def rows(nodes: int = 4, params: Optional[MachineParams] = None,
-         jobs: Optional[int] = None) -> list[dict]:
-    from repro.bench.parallel import Cell, run_cells
-
-    return run_cells([Cell(_row, kernel, nodes, params)
-                      for kernel in KERNEL_ORDER], jobs=jobs)
 
 
 def check_shape(data: list[dict]) -> list[str]:
@@ -71,18 +62,3 @@ def check_shape(data: list[dict]) -> list[str]:
             f"({improver_avg:.1f}% vs {flat_avg:.1f}%)"
         )
     return problems
-
-
-def main() -> None:
-    data = rows()
-    print_table(
-        "§6.2 — NAS Parallel Benchmarks (4 nodes): execution time",
-        ["kernel", "native_us", "mpi_lapi_us", "improvement_%"],
-        data,
-    )
-    problems = check_shape(data)
-    print("\nshape check:", "OK" if not problems else "; ".join(problems))
-
-
-if __name__ == "__main__":
-    main()

@@ -1,9 +1,9 @@
 """One-shot reproduction report: every table and figure, shape-checked.
 
 Run ``python -m repro.bench.report`` (add ``--fast`` for a reduced
-sweep).  Prints each figure as a table followed by its shape check and
-finishes with a verdict summary — the executable version of
-EXPERIMENTS.md.
+sweep, and figure names such as ``fig13 rma`` to print only those).
+Prints each figure as a table followed by its shape check and finishes
+with a verdict summary — the executable version of EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -11,62 +11,32 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import fig10, fig11, fig12, fig13, nas
-from repro.bench.figures import print_table
+from repro.bench.figures import FIGURES, print_table, rows
 
 __all__ = ["main"]
 
-FAST_SIZES = {
-    "fig10": [4, 1024, 16384, 65536],
-    "fig11": [1, 16, 256, 1024, 4096],
-    "fig12": [1024, 4096, 65536, 1048576],
-    "fig13": [4, 256, 1024],
-}
-
 
 def main(argv=None) -> int:
+    paper = [name for name, fig in FIGURES.items() if fig.paper]
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--fast", action="store_true",
                         help="reduced size sweeps (~4x faster)")
-    parser.add_argument("--skip-nas", action="store_true",
-                        help="omit the NAS section")
-    parser.add_argument("--json-dir", default=None, metavar="DIR",
-                        help="also write a BENCH_<figure>.json artifact per "
-                             "figure under DIR")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help=f"figures to print: {', '.join(FIGURES)} "
+                             f"(default: {' '.join(paper)})")
     args = parser.parse_args(argv)
+    if not set(args.names) <= FIGURES.keys():
+        parser.error(f"figures are {', '.join(FIGURES)}")
 
     verdicts: dict[str, list[str]] = {}
-
-    specs = [
-        ("fig10", fig10, "Fig 10 — ping-pong: raw LAPI vs MPI-LAPI variants (us)",
-         ["size", "raw-lapi", "lapi-base", "lapi-counters", "lapi-enhanced"]),
-        ("fig11", fig11, "Fig 11 — latency: native vs MPI-LAPI (us)",
-         ["size", "native", "lapi-enhanced", "improvement_%"]),
-        ("fig12", fig12, "Fig 12 — bandwidth: native vs MPI-LAPI (MB/s)",
-         ["size", "native", "lapi-enhanced", "improvement_%"]),
-        ("fig13", fig13, "Fig 13 — interrupt-mode latency (us)",
-         ["size", "native", "lapi-enhanced", "speedup_x"]),
-    ]
-    for name, module, title, columns in specs:
-        sizes = FAST_SIZES[name] if args.fast else None
-        data = module.rows(sizes=sizes)
-        print_table(title, columns, data)
-        verdicts[name] = module.check_shape(data)
+    for name in args.names or paper:
+        fig = FIGURES[name]
+        data = rows(name, fig.fast if args.fast else fig.full)
+        for series in fig.series:
+            print_table(series.title, series.columns,
+                        data[series.key] if series.key else data)
+        verdicts[name] = fig.check(data)
         print("shape check:", "OK" if not verdicts[name] else verdicts[name])
-        if args.json_dir is not None:
-            from repro.bench.artifact import make_artifact, write_artifact
-
-            doc = make_artifact(
-                name, params={"sizes": [r["size"] for r in data]}, results=data
-            )
-            print("artifact:", write_artifact(doc, args.json_dir))
-
-    if not args.skip_nas:
-        data = nas.rows()
-        print_table("§6.2 — NAS Parallel Benchmarks, 4 nodes (us)",
-                    ["kernel", "native_us", "mpi_lapi_us", "improvement_%"], data)
-        verdicts["nas"] = nas.check_shape(data)
-        print("shape check:", "OK" if not verdicts["nas"] else verdicts["nas"])
 
     print("\n================ reproduction verdict ================")
     ok = True

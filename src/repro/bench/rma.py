@@ -18,27 +18,22 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.bench.figures import print_table, reps_for
 from repro.bench.harness import pingpong_us
-from repro.bench.parallel import Cell, run_cells
+from repro.bench.sweep import reps_for
 from repro.cluster import SPCluster
 from repro.machine import MachineParams
 
 __all__ = ["LAT_STACKS", "check", "rma_bw_MBps", "rma_lock_us",
-           "rma_pingpong_us", "rows"]
+           "rma_pingpong_us"]
 
 LAT_STACKS = ("lapi-enhanced", "lapi-counters", "lapi-base", "native")
-
-
-def _params(params: Optional[MachineParams]) -> MachineParams:
-    return params if params is not None else MachineParams()
 
 
 def rma_pingpong_us(stack: str, msg_size: int, reps: int = 12,
                     warmup: int = 2, params: Optional[MachineParams] = None,
                     seed: int = 0, interrupt_mode: bool = False) -> float:
     """One-way latency (us) of a fence-synchronized put ping-pong."""
-    cluster = SPCluster(2, stack=stack, params=_params(params), seed=seed,
+    cluster = SPCluster(2, stack=stack, params=params, seed=seed,
                         interrupt_mode=interrupt_mode)
     payload = bytes(max(msg_size, 1))
 
@@ -66,7 +61,7 @@ def rma_lock_us(stack: str, msg_size: int, reps: int = 12, warmup: int = 2,
                 params: Optional[MachineParams] = None, seed: int = 0,
                 interrupt_mode: bool = False) -> float:
     """Passive-target round: lock(excl) + put + unlock, origin view."""
-    cluster = SPCluster(2, stack=stack, params=_params(params), seed=seed,
+    cluster = SPCluster(2, stack=stack, params=params, seed=seed,
                         interrupt_mode=interrupt_mode)
     payload = bytes(max(msg_size, 1))
 
@@ -97,7 +92,7 @@ def rma_lock_us(stack: str, msg_size: int, reps: int = 12, warmup: int = 2,
 def rma_bw_MBps(stack: str, msg_size: int, depth: int = 8, reps: int = 4,
                 params: Optional[MachineParams] = None, seed: int = 0) -> float:
     """Streaming bandwidth: ``depth`` back-to-back puts per fence."""
-    cluster = SPCluster(2, stack=stack, params=_params(params), seed=seed)
+    cluster = SPCluster(2, stack=stack, params=params, seed=seed)
     payload = bytes(msg_size)
 
     def program(comm, rank, size):
@@ -142,27 +137,6 @@ def _bw_row(size: int, params: Optional[MachineParams]) -> dict:
     return row
 
 
-def rows(sizes: Optional[list[int]] = None,
-         params: Optional[MachineParams] = None,
-         jobs: Optional[int] = None) -> dict[str, list[dict]]:
-    """The full sweep: latency, passive-target, and bandwidth series."""
-    if sizes is None:
-        sizes = [8, 256, 1024, 16384]
-    bw_sizes = [s for s in sizes if s >= 1024] or [1024]
-    cells = (
-        [Cell(_lat_row, s, params) for s in sizes]
-        + [Cell(_lock_row, s, params) for s in sizes]
-        + [Cell(_bw_row, s, params) for s in bw_sizes]
-    )
-    out = run_cells(cells, jobs=jobs)
-    n = len(sizes)
-    return {
-        "latency": out[:n],
-        "lock": out[n : 2 * n],
-        "bandwidth": out[2 * n :],
-    }
-
-
 def check(data: dict[str, list[dict]]) -> list[str]:
     """Shape violations (empty == the layering story reproduces)."""
     problems = []
@@ -178,29 +152,3 @@ def check(data: dict[str, list[dict]]) -> list[str]:
                 f"size {s}: native RMA emulation not above the thin "
                 f"LAPI mapping")
     return problems
-
-
-def main() -> None:
-    data = rows()
-    print_table(
-        "RMA put ping-pong vs two-sided send/recv (us, one-way)",
-        ["size"] + [f"rma:{s}" for s in LAT_STACKS]
-        + [f"2s:{s}" for s in LAT_STACKS],
-        data["latency"],
-    )
-    print_table(
-        "Passive target: lock+put+unlock round (us)",
-        ["size", "lock:lapi-enhanced", "lock:native"],
-        data["lock"],
-    )
-    print_table(
-        "Streaming put bandwidth (MB/s)",
-        ["size", "bw:lapi-enhanced", "bw:native"],
-        data["bandwidth"],
-    )
-    problems = check(data)
-    print("\nshape check:", "OK" if not problems else "; ".join(problems))
-
-
-if __name__ == "__main__":
-    main()

@@ -65,7 +65,7 @@ def test_mixed_sweep_parallel_identical_to_serial(jobs):
         Cell(fig11_row, 256, None),
         Cell(_run_cell, builtin_plan("loss-burst"), "pingpong", ref,
              "lapi-enhanced", 0, None, False),
-        Cell(nas_row, "is", 4, None),
+        Cell(nas_row, "is", None),
     ]
     serial = run_cells(cells, jobs=None)
     parallel = run_cells(cells, jobs=jobs)
@@ -81,8 +81,8 @@ def test_mixed_sweep_parallel_identical_to_serial(jobs):
 
 
 def test_fig11_rows_worker_count_invariant():
-    from repro.bench import fig11
+    from repro.bench.figures import rows
 
     sizes = [64, 4096]
-    serial = fig11.rows(sizes=sizes)
-    assert fig11.rows(sizes=sizes, jobs=2) == serial
+    serial = rows("fig11", sizes)
+    assert rows("fig11", sizes, jobs=2) == serial
