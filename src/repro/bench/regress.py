@@ -22,12 +22,14 @@ Usage::
                          path (e.g. 'breakdown.*.phases_us.wire');
                          repeatable, last match wins
 
-Metric paths look like ``results[size=256].latency_us`` and
-``breakdown.native.phases_us.copy``.  A metric fails when
+Metric paths look like ``results[size=256].latency_us``,
+``breakdown.native.phases_us.copy`` and
+``metrics.aggregate.counters.acks_sent``.  A metric fails when
 ``|current - baseline| > atol + rtol * |baseline|`` (either direction:
 a large unexplained speed-up is as suspicious as a slowdown — it
 usually means the benchmark stopped measuring what it thinks).
 Non-numeric values, ``params``, and the schema line must match exactly.
+In directory mode a current artifact with no baseline is a failure.
 
 Exit status: 0 all within tolerance, 1 regression (table on stdout),
 2 usage error.
@@ -169,9 +171,10 @@ def compare_artifacts(base: dict, cur: dict,
                             0, 0, False,
                             note="sweep parameters differ — not comparable"))
     _cmp_results(base.get("results", []), cur.get("results", []), tols, deltas)
-    if "breakdown" in base or "breakdown" in cur:
-        _cmp_tree("breakdown", base.get("breakdown", {}),
-                  cur.get("breakdown", {}), tols, deltas)
+    for section in ("breakdown", "metrics"):
+        if section in base or section in cur:
+            _cmp_tree(section, base.get(section, {}), cur.get(section, {}),
+                      tols, deltas)
     return deltas
 
 
@@ -229,21 +232,21 @@ def compare_paths(baseline: Path, current: Path, tols: _Tolerances,
         print(f"error: {baseline} and {current} must both be files or both "
               "be directories", file=sys.stderr)
         return 2
+    status = 0
     if baseline.is_dir():
-        pairs = []
         base_files = sorted(baseline.glob("BENCH_*.json"))
         if not base_files:
             print(f"error: no BENCH_*.json under {baseline}", file=sys.stderr)
             return 2
-        for bf in base_files:
-            pairs.append((bf, current / bf.name))
+        pairs = [(bf, current / bf.name) for bf in base_files]
         for cf in sorted(current.glob("BENCH_*.json")):
             if not (baseline / cf.name).exists():
-                print(f"{cf.name}: new artifact (no baseline) — skipped")
+                print(f"{cf.name}: new artifact with no baseline "
+                      f"(add {baseline / cf.name})")
+                status = 1
     else:
         pairs = [(baseline, current)]
 
-    status = 0
     for bf, cf in pairs:
         base = _load(bf)
         if isinstance(base, str):

@@ -7,7 +7,12 @@ from repro.cluster.cluster import (
     RunResult,
     SPCluster,
 )
-from repro.cluster.config import PRESETS, ClusterConfig, preset
+from repro.lazy import lazy_exports
+
+# named configurations load on first use; building a cluster needs none
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.cluster.config": ("PRESETS", "ClusterConfig", "preset"),
+})
 
 __all__ = [
     "ClusterConfig",

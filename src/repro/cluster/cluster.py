@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.faults.plan import FaultPlan
-from repro.faults.points import FaultInjector
 from repro.hal import Hal
 from repro.lapi import Lapi
 from repro.machine import Cpu, MachineParams, NodeStats
@@ -40,6 +38,10 @@ from repro.obs.registry import MetricsRegistry, merge_snapshots
 from repro.pipes import PipeEndpoint
 from repro.rngs import RngStreams
 from repro.sim import Environment, SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.faults.plan import FaultPlan
+    from repro.faults.points import FaultInjector
 
 __all__ = ["DeadlockError", "RankResult", "RunResult", "SPCluster", "STACKS"]
 
@@ -157,26 +159,24 @@ class SPCluster:
             self.tracer = Tracer(self.env)
 
         self.fault_plan = fault_plan
-        self.fault_injector = FaultInjector(
-            plan=fault_plan,
-            rng=self.streams.seed_sequence("faults"),
-            metrics=self.metrics,
-            tracer=self.tracer,
-            base_loss_rate=self.params.packet_loss_rate,
-        )
-        fi = self.fault_injector
+        #: a fault-free cluster asks for no fault points, so it neither
+        #: builds an injector nor imports :mod:`repro.faults`
+        fi = (self.fault_injector
+              if fault_plan is not None or self.params.packet_loss_rate > 0.0
+              else None)
 
+        fabric_faults = fi.point("fabric") if fi is not None else None
         if self.params.fabric_model == "staged":
             from repro.network.staged import StagedFabric
 
             self.fabric = StagedFabric(
                 self.env, self.params, rng=self.streams.fabric,
-                metrics=self.metrics, faults=fi.point("fabric"),
+                metrics=self.metrics, faults=fabric_faults,
             )
         else:
             self.fabric = SwitchFabric(
                 self.env, self.params, rng=self.streams.fabric,
-                metrics=self.metrics, faults=fi.point("fabric"),
+                metrics=self.metrics, faults=fabric_faults,
             )
         counters, gauges = NODE_METRICS[stack]
         self.node_stats = [NodeStats(MetricsRegistry(counters, gauges))
@@ -194,10 +194,11 @@ class SPCluster:
             Adapter(self.env, self.params, self.fabric, i, self.node_stats[i])
             for i in range(num_nodes)
         ]
-        for i in range(num_nodes):
-            self.cpus[i].faults = fi.point("cpu", node=i)
-            self.adapters[i].faults = fi.point("adapter", node=i)
-        fi.start_storms(self.env, self.cpus)
+        if fi is not None:
+            for i in range(num_nodes):
+                self.cpus[i].faults = fi.point("cpu", node=i)
+                self.adapters[i].faults = fi.point("adapter", node=i)
+            fi.start_storms(self.env, self.cpus)
 
         header = (
             self.params.native_header_bytes
@@ -247,12 +248,13 @@ class SPCluster:
             for b in self.backends:
                 b.wire(peers)
 
-        for i in range(num_nodes):
-            point = fi.point("dispatcher", node=i)
-            if self.lapis[i] is not None:
-                self.lapis[i].flows.faults = point
-            if self.pipes[i] is not None:
-                self.pipes[i].flows.faults = point
+        if fi is not None:
+            for i in range(num_nodes):
+                point = fi.point("dispatcher", node=i)
+                if self.lapis[i] is not None:
+                    self.lapis[i].flows.faults = point
+                if self.pipes[i] is not None:
+                    self.pipes[i].flows.faults = point
 
         if interrupt_mode:
             if stack == "raw-lapi":
@@ -268,6 +270,21 @@ class SPCluster:
             self.comms = [
                 Communicator(self.backends[i], world, i) for i in range(num_nodes)
             ]
+
+    @cached_property
+    def fault_injector(self) -> "FaultInjector":
+        """The cluster's fault injector, over the ``faults`` RNG stream.
+        A fault-free cluster builds it only when this is first read; its
+        ``fault.*`` counters are in :data:`CLUSTER_METRICS` either way."""
+        from repro.faults.points import FaultInjector
+
+        return FaultInjector(
+            plan=self.fault_plan,
+            rng=self.streams.seed_sequence("faults"),
+            metrics=self.metrics,
+            tracer=self.tracer,
+            base_loss_rate=self.params.packet_loss_rate,
+        )
 
     # ------------------------------------------------------------------
     @classmethod

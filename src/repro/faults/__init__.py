@@ -12,17 +12,6 @@ queues, empty windows/ledgers, bounded retransmissions.
 See ``docs/FAULTS.md`` for the plan schema and invariant list.
 """
 
-from repro.faults.campaign import (
-    CampaignResult,
-    SOAK_MATRIX,
-    WORKLOADS,
-    check_invariants,
-    quiesce,
-    run_campaign,
-    run_soak,
-    run_workload,
-    transport_quiet,
-)
 from repro.faults.plan import (
     DispatcherStall,
     DuplicateStorm,
@@ -38,6 +27,15 @@ from repro.faults.plan import (
     builtin_plan,
 )
 from repro.faults.points import FaultInjector, FaultPoint, PacketVerdict
+from repro.lazy import lazy_exports
+
+# the campaign driver, which runs whole clusters, loads on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.campaign": (
+        "CampaignResult", "SOAK_MATRIX", "WORKLOADS", "check_invariants",
+        "quiesce", "run_campaign", "run_soak", "run_workload",
+        "transport_quiet"),
+})
 
 __all__ = [
     "CampaignResult",

@@ -16,8 +16,6 @@ is a generator: ``yield from comm.send(...)``.
 
 from repro.mpci.match import ANY_SOURCE, ANY_TAG
 from repro.mpi.api import Communicator, MpiError, PersistentRequest
-from repro.mpi.derived import Contiguous, Indexed, Vector
-from repro.mpi.topology import CartComm, dims_create
 from repro.mpi.protocol import (
     BUFFERED,
     EAGER,
@@ -28,7 +26,14 @@ from repro.mpi.protocol import (
     select_protocol,
 )
 from repro.mpi.request import Request, Status
-from repro.mpi.rma import RmaError, Window, WindowBuffer, win_create
+from repro.lazy import lazy_exports
+
+# derived datatypes, topologies and one-sided windows load on first use
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mpi.derived": ("Contiguous", "Indexed", "Vector"),
+    "repro.mpi.topology": ("CartComm", "dims_create"),
+    "repro.mpi.rma": ("RmaError", "Window", "WindowBuffer", "win_create"),
+})
 
 __all__ = [
     "ANY_SOURCE",

@@ -6,9 +6,12 @@ and the kernel's, fabric's and fault injector's in one pass for the
 cluster registry (``CLUSTER_METRICS``).  The reference builds the same
 clusters with every schema emptied, so ``NodeStats`` and each layer
 register their metrics by name, one ``counter``/``gauge`` call at a
-time, as they did before the schemas existed.  Every registry must hold
-the same names with the same types, and every snapshot and metrics dict
-must be identical (``repr``, so ints stay ints).
+time, as they did before the schemas existed.  A fault-free cluster
+builds its fault injector only when ``cluster.fault_injector`` is first
+read, so the reference reads it right after the build, which registers
+every ``fault.*`` counter by name.  Every registry must hold the same
+names with the same types, and every snapshot and metrics dict must be
+identical (``repr``, so ints stay ints).
 """
 
 import numpy as np
@@ -51,9 +54,11 @@ def _raw_program(lapi, rank, size):
     return rank
 
 
-def _build_and_run(stack, nodes, interrupt, trace, plan):
+def _build_and_run(stack, nodes, interrupt, trace, plan, by_name=False):
     cluster = SPCluster(nodes, stack=stack, interrupt_mode=interrupt,
                         trace=trace, fault_plan=plan, seed=3)
+    if by_name:
+        cluster.fault_injector
     regs = [cluster.metrics] + [s.registry for s in cluster.node_stats]
     built = [_layout(r) for r in regs]
     program = _raw_program if stack == "raw-lapi" else _mpi_program
@@ -87,7 +92,8 @@ def test_schema_registries_equal_registries_built_by_name(
     fault_plan = builtin_plan(plan) if plan else None
     got = _build_and_run(stack, nodes, interrupt, trace, fault_plan)
     _by_name(monkeypatch)
-    want = _build_and_run(stack, nodes, interrupt, trace, fault_plan)
+    want = _build_and_run(stack, nodes, interrupt, trace, fault_plan,
+                          by_name=True)
     assert got == want
 
 
@@ -100,6 +106,7 @@ def test_the_schema_is_exactly_what_each_stack_registers_at_build(monkeypatch):
     _by_name(monkeypatch)
     for stack in STACKS:
         cluster = SPCluster(2, stack=stack)
+        cluster.fault_injector
         for reg in (s.registry for s in cluster.node_stats):
             assert (set(reg._counters), set(reg._gauges)) == schema[stack], stack
             assert not reg._histograms

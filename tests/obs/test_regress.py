@@ -1,6 +1,7 @@
 """The artifact regression gate (``python -m repro.bench.regress``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +97,15 @@ def test_missing_current_artifact_fails(tmp_path):
     assert main([str(base), str(cur)]) == 1
 
 
+def test_current_artifact_without_a_baseline_fails(tmp_path, capsys):
+    base, cur = tmp_path / "base", tmp_path / "cur"
+    write_artifact(_doc(), base)
+    write_artifact(_doc(), cur)
+    write_artifact(_doc(name="unbaselined"), cur)
+    assert main([str(base), str(cur)]) == 1
+    assert "BENCH_unbaselined.json" in capsys.readouterr().out
+
+
 def test_file_vs_directory_is_a_usage_error(tmp_path, baseline):
     assert main([str(baseline), str(tmp_path)]) == 2
 
@@ -108,12 +118,25 @@ def test_row_disappearance_fails():
     assert any("size=16" in d.path for d in bad)
 
 
+FIG11 = (Path(__file__).resolve().parents[2]
+         / "benchmarks" / "baselines" / "BENCH_fig11_latency.json")
+
+
 def test_checked_in_baseline_matches_itself():
     """The seeded baseline passes its own gate (what CI regenerates
     must be compared against *something* that is already green)."""
-    from pathlib import Path
+    assert FIG11.exists()
+    assert main([str(FIG11), str(FIG11)]) == 0
 
-    baseline = (Path(__file__).resolve().parents[2]
-                / "benchmarks" / "baselines" / "BENCH_fig11_latency.json")
-    assert baseline.exists()
-    assert main([str(baseline), str(baseline)]) == 0
+
+def test_metrics_section_is_compared(tmp_path, capsys):
+    doc = json.loads(FIG11.read_text())
+    counters = doc["metrics"]["aggregate"]["counters"]
+    assert counters["acks_sent"] == 2
+    counters["acks_sent"] = 27
+    cur = tmp_path / FIG11.name
+    cur.write_text(json.dumps(doc))
+    assert main([str(FIG11), str(cur)]) == 1
+    out = capsys.readouterr().out
+    assert "REGRESSION (1 of" in out
+    assert "metrics.aggregate.counters.acks_sent" in out
